@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
+import numpy as np
+
 from .field import (
     FieldElem,
     FieldSpec,
@@ -21,7 +23,8 @@ from .field import (
     subfield_elements,
 )
 from .plane import TernaryForm, hermitian_model, intersection
-from .unipoly import UniPoly, count_distinct_roots
+from .splitting import fiber_images
+from .unipoly import UniPoly
 
 
 class ConstructionError(ValueError):
@@ -272,17 +275,21 @@ def monomial_curve(q: int, d: int, alpha: FieldElem) -> TernaryForm:
 
 
 def monomial_fast_count(q: int, d: int, alpha: FieldElem) -> int:
-    """(q+1) * #distinct roots of A t^d + t + 1 in F_q, A = alpha^{q+1}.
+    """(q+1) * #roots of A t^d + t + 1 in F_q, A = alpha^{q+1}.
 
     Equals the rational intersection count of the monomial curve with H2.
+    The roots are the t in F_q^* whose fiber image is A.
     """
     spec = ambient(q)
     alpha = spec.elem(alpha)
     if not alpha.val:
         raise ConstructionError("alpha must be nonzero")
+    if d < 2:
+        raise ConstructionError("d must be >= 2")
     A = norm_to_subfield(alpha)
-    g = UniPoly(spec, [1, 1] + [0] * (d - 2) + [A.val])
-    return (q + 1) * count_distinct_roots(g, q)
+    x = np.arange(1, spec.order, dtype=np.int64)
+    t = x[spec.pow_v(x, q) == x]  # F_q^* inside F_{q^2}
+    return (q + 1) * int(np.count_nonzero(fiber_images(spec, d, t) == A.val))
 
 
 # ---------------------------------------------------------------------------

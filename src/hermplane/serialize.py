@@ -27,23 +27,36 @@ def format_element(x: FieldElem, style: str = "coeffs") -> str:
 
 def parse_element(spec: FieldSpec, text) -> FieldElem:
     """Accepts "[c0,c1,...]", "w^k", "w", a plain integer encoding, or a
-    list of coefficients."""
+    list of coefficients.
+
+    Integer encodings must lie in [0, order) and coefficients in [0, p);
+    anything else is a ValueError rather than a silent reduction.
+    """
     if isinstance(text, FieldElem):
         return spec.elem(text)
-    if isinstance(text, (int, list, tuple)):
-        return spec.elem(text)
-    text = text.strip()
-    if text == "0":
-        return spec.zero()
-    if text == "w":
-        return spec.gen()
-    if text.startswith("w^"):
-        return FieldElem(spec, spec.pow(spec.gen().val, int(text[2:])))
-    if text.startswith("["):
-        if not text.endswith("]"):
-            raise ValueError(f"unbalanced coefficient vector {text!r}")
-        return spec.elem([int(c) for c in text[1:-1].split(",") if c.strip() != ""])
-    return spec.elem(int(text))
+    if isinstance(text, str):
+        text = text.strip()
+        if text == "w":
+            return spec.gen()
+        if text.startswith("w^"):
+            return FieldElem(spec, spec.pow(spec.gen().val, int(text[2:])))
+        if text.startswith("["):
+            if not text.endswith("]"):
+                raise ValueError(f"unbalanced coefficient vector {text!r}")
+            text = [int(c) for c in text[1:-1].split(",") if c.strip() != ""]
+        else:
+            text = int(text)
+    if isinstance(text, (list, tuple)):
+        for c in text:
+            if not 0 <= c < spec.p:
+                raise ValueError(
+                    f"coefficient {c} is outside [0, {spec.p}) for F_{spec.order}"
+                )
+    elif isinstance(text, int) and not 0 <= text < spec.order:
+        raise ValueError(
+            f"element encoding {text} is outside [0, {spec.order}) for F_{spec.order}"
+        )
+    return spec.elem(text)
 
 
 def curve_to_dict(form: TernaryForm, model: str | None = None) -> dict:

@@ -2,12 +2,14 @@
 
 A value A in F_q^* for which A t^d + t + 1 has d distinct roots in F_q
 yields, for any alpha of norm A, a monomial curve X Z^{d-1} = alpha Y^d
-meeting the Hermitian curve in d(q+1) rational points.  This module
-provides the exact counts N_d(q) with witnesses, the closed forms for
-d = 3 and d = 4, the subfield existence criteria for d a power of the
-characteristic (or one more), the rho-parametrization of the roots, the
-genus of the splitting field, the resulting effective thresholds, and a
-vectorized sweep over prime powers.
+meeting the Hermitian curve in d(q+1) rational points.  The roots of
+A t^d + t + 1 are the fiber of A under t -> -(t + 1) / t^d on F_q^*,
+so one vectorized pass of that map (`fiber_images`) and a bincount give
+the exact counts N_d(q) with witnesses.  The module also holds the
+closed forms for d = 3 and d = 4, the subfield existence criteria for d
+a power of the characteristic (or one more), the rho-parametrization of
+the roots, the genus of the splitting field, the resulting effective
+thresholds, and a sweep over prime powers.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import numpy as np
 import sympy
 
 from .field import FieldElem, FieldSpec, field_of_order, make_field
-from .unipoly import UniPoly, count_distinct_roots
 
 
 @dataclass
@@ -51,66 +52,14 @@ def _pq(q: int):
     return p, m
 
 
-def splits_for_A(spec: FieldSpec, d: int, a: int) -> bool:
-    """True when A t^d + t + 1 has d distinct roots in the field."""
-    if d < 2:
-        raise ValueError("need d >= 2")
-    a = spec.elem(a).val
-    if a == 0:
-        raise ValueError("A must be nonzero")
-    f = UniPoly(spec, [1, 1] + [0] * (d - 2) + [a])
-    return count_distinct_roots(f, spec.order) == d
+def fiber_images(spec: FieldSpec, d: int, t: np.ndarray) -> np.ndarray:
+    """-(t + 1) / t^d for an int64 array of nonzero encodings t.
 
-
-def batch_split_mask(spec: FieldSpec, d: int) -> np.ndarray:
-    """Boolean mask over A = 1..q-1 marking where A t^d + t + 1 splits.
-
-    f_A is monic-equivalent to t^d + u t + u with u = 1/A, so
-    t^d = -u (t+1) modulo f_A.  The mask is t^q == t (mod f_A), computed
-    for every A at once with square-and-multiply on stacked coefficient
-    rows; divisibility of t^q - t makes the d roots automatically
-    distinct.
+    For A != 0 the roots of A t^d + t + 1 are exactly the t != 0 with
+    -(t + 1) / t^d = A (t = 0 is never a root), so the fiber of A under
+    this map is its root set; A t^d + t + 1 splits when it has d points.
     """
-    q = spec.order
-    avals = np.arange(1, q, dtype=np.int64)
-    neg_u = spec.neg_v(spec.inv_v(avals))
-
-    def reduce_top(prod):
-        # prod holds rows t^0 .. t^{2d-2}; fold the top rows down
-        for k in range(2 * d - 2, d - 1, -1):
-            c = prod[k]
-            if c.any():
-                shift = spec.mul_v(neg_u, c)
-                prod[k - d] = spec.add_v(prod[k - d], shift)
-                prod[k - d + 1] = spec.add_v(prod[k - d + 1], shift)
-                prod[k] = 0
-        return prod[:d]
-
-    def mul(g, h):
-        prod = np.zeros((2 * d - 1, q - 1), dtype=np.int64)
-        for i in range(d):
-            if not g[i].any():
-                continue
-            for j in range(d):
-                if not h[j].any():
-                    continue
-                prod[i + j] = spec.add_v(prod[i + j], spec.mul_v(g[i], h[j]))
-        return reduce_top(prod)
-
-    t = np.zeros((d, q - 1), dtype=np.int64)
-    t[1] = 1
-    r = None
-    sq = t
-    e = q
-    while e:
-        if e & 1:
-            r = sq.copy() if r is None else mul(r, sq)
-        e >>= 1
-        if e:
-            sq = mul(sq, sq)
-    target = np.zeros_like(r)
-    target[1] = 1
-    return (r == target).all(axis=0)
+    return spec.neg_v(spec.mul_v(spec.add_v(t, 1), spec.pow_v(t, -d)))
 
 
 def count_splitting_A(q: int, d: int) -> SplitCountReport:
@@ -118,8 +67,9 @@ def count_splitting_A(q: int, d: int) -> SplitCountReport:
     if d < 2:
         raise ValueError("need d >= 2")
     spec = make_field(*_pq(q))
-    mask = batch_split_mask(spec, d)
-    witnesses = [int(a) + 1 for a in np.nonzero(mask)[0]]
+    images = fiber_images(spec, d, np.arange(1, q, dtype=np.int64))
+    # A = 0 has the single preimage t = -1, so it is never a witness
+    witnesses = np.nonzero(np.bincount(images) == d)[0].tolist()
     closed = None
     if d == 3:
         closed = n3_closed_form(q)
@@ -258,17 +208,17 @@ def serre_split_threshold(d: int) -> int:
     """Largest q failing q + 1 - floor(2 sqrt(q)) g_d - C_d > 0.
 
     Every prime power beyond it (with gcd(q, d(d-1)) = 1) has a
-    splitting A; the scan bound 8 (C_d + g_d + 2)^2 is past the point
-    where the linear term dominates the sqrt term for good.
+    splitting A.  With s = g + isqrt(g^2 + C - 1) + 1, every q >= s^2
+    has q + 1 - floor(2 sqrt(q)) g - C >= (sqrt(q) - g)^2 - g^2 + 1 - C
+    > 0, so the scan runs down from s^2 to the first failure (q = 2
+    fails, as C_d >= 8).
     """
     g = genus_Fd(d)
     c = ramification_allowance(d)
-    limit = 8 * (c + g + 2) ** 2
-    worst = 0
-    for q in range(2, limit):
-        if q + 1 - isqrt(4 * q) * g - c <= 0:
-            worst = q
-    return worst
+    q = (g + isqrt(g * g + c - 1) + 1) ** 2
+    while q + 1 - isqrt(4 * q) * g - c > 0:
+        q -= 1
+    return q
 
 
 # ---------------------------------------------------------------------------

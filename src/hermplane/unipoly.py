@@ -2,8 +2,9 @@
 
 Coefficients are stored little endian as integer encodings of field
 elements, trimmed so the leading coefficient is nonzero (the zero
-polynomial is the empty tuple).  The splitting oracle works through
-gcd(f, t^q - t), with t^q computed by repeated squaring mod f.
+polynomial is the empty tuple).  Roots are found by an evaluation scan
+over the subfield; the splitting surveys count roots by the fibers of
+t -> -(t + 1) / t^d in `splitting` instead.
 """
 
 from __future__ import annotations
@@ -88,47 +89,6 @@ class UniPoly:
                         out[i + j] = K.add(out[i + j], K.mul(a, b))
         return UniPoly(K, out)
 
-    def scale(self, c):
-        K = self.spec
-        c = K.elem(c).val if not isinstance(c, int) else c
-        return UniPoly(K, [K.mul(c, a) for a in self.coeffs])
-
-    def divrem(self, other):
-        """(quotient, remainder) with deg r < deg divisor."""
-        self._check(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        K = self.spec
-        r = list(self.coeffs)
-        d = other.degree
-        lead_inv = K.inv(other.coeffs[-1])
-        q = [0] * max(len(r) - d, 0)
-        for k in range(len(r) - 1, d - 1, -1):
-            c = r[k]
-            if c == 0:
-                continue
-            factor = K.mul(c, lead_inv)
-            q[k - d] = factor
-            for i in range(d + 1):
-                r[k - d + i] = K.sub(r[k - d + i], K.mul(factor, other.coeffs[i]))
-        return UniPoly(K, q), UniPoly(K, r)
-
-    def __mod__(self, other):
-        return self.divrem(other)[1]
-
-    def derivative(self):
-        """Formal derivative; terms with exponent divisible by char vanish."""
-        K = self.spec
-        out = []
-        for k in range(1, len(self.coeffs)):
-            out.append(K.mul(k % K.p, self.coeffs[k]))
-        return UniPoly(K, out)
-
-    def monic(self):
-        if self.is_zero():
-            return self
-        return self.scale(self.spec.inv(self.coeffs[-1]))
-
     def evaluate(self, x) -> FieldElem:
         K = self.spec
         xv = K.elem(x).val
@@ -140,57 +100,8 @@ class UniPoly:
     # -- convenience constructors --------------------------------------------
 
     @staticmethod
-    def t(spec: FieldSpec) -> "UniPoly":
-        return UniPoly(spec, [0, 1])
-
-    @staticmethod
     def constant(spec: FieldSpec, c) -> "UniPoly":
         return UniPoly(spec, [spec.elem(c).val])
-
-
-def gcd(f: UniPoly, g: UniPoly) -> UniPoly:
-    """Monic greatest common divisor via Euclid."""
-    if f.is_zero() and g.is_zero():
-        raise ValueError("gcd(0, 0) is undefined")
-    while not g.is_zero():
-        f, g = g, f % g
-    return f.monic()
-
-
-def frobenius_power_mod(f: UniPoly, Q: int) -> UniPoly:
-    """t^Q mod f by repeated squaring; f must be non-constant."""
-    if f.degree < 1:
-        raise ValueError("modulus must have degree >= 1")
-    t = UniPoly.t(f.spec) % f
-    r = UniPoly.constant(f.spec, 1)
-    base = t
-    e = Q
-    while e:
-        if e & 1:
-            r = (r * base) % f
-        base = (base * base) % f
-        e >>= 1
-    return r
-
-
-def count_distinct_roots(f: UniPoly, q: int) -> int:
-    """deg gcd(f, t^q - t): the number of distinct roots of f in F_q."""
-    if f.is_zero():
-        raise ValueError("zero polynomial")
-    if f.degree == 0:
-        return 0
-    tq = frobenius_power_mod(f, q)
-    diff = tq - (UniPoly.t(f.spec) % f)
-    if diff.is_zero():
-        return f.degree
-    return gcd(f, diff).degree
-
-
-def splits_over(f: UniPoly, q: int) -> bool:
-    """True iff f has deg f distinct roots in F_q (hence is squarefree)."""
-    if f.degree < 1:
-        raise ValueError("constant polynomial")
-    return count_distinct_roots(f, q) == f.degree
 
 
 def roots_in_field(f: UniPoly, q: int) -> list[FieldElem]:

@@ -69,6 +69,32 @@ def test_intersect_wrong_field_is_usage_error(capsys, tmp_path):
     assert code == 2
 
 
+def test_construct_rejects_out_of_range_alpha(capsys):
+    # F_9: encodings lie in [0, 9) and coefficients in [0, 3)
+    for alpha in ("301", "[4,0]"):
+        code, out, err = run(
+            capsys,
+            "construct", "--family", "monomial", "--q", "3", "--d", "2",
+            "--alpha", alpha,
+        )
+        assert code == 2
+        assert out == ""
+        assert "outside" in err
+
+
+def test_intersect_rejects_out_of_range_coefficient(capsys, tmp_path):
+    path = tmp_path / "curve.json"
+    run(capsys, "construct", "--family", "degree-q", "--q", "3", "--output", str(path))
+    data = json.loads(path.read_text())
+    for bad in ("[3,0]", 9):
+        data["terms"][0]["coeff"] = bad
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "intersect", "--curve", str(path), "--q", "3")
+        assert code == 2
+        assert out == ""
+        assert "outside" in err
+
+
 def test_split_count(capsys):
     code, out, _ = run(capsys, "split-count", "--q", "16", "--d", "4", "--format", "json")
     assert code == 0

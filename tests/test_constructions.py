@@ -119,6 +119,13 @@ def test_monomial_fast_count_matches_enumeration():
                 )
 
 
+def test_monomial_fast_count_rejects_degree_below_two():
+    alpha = FieldElem(ambient(5), 1)
+    for d in (0, 1):
+        with pytest.raises(ConstructionError):
+            monomial_fast_count(5, d, alpha)
+
+
 def test_sporadic_cubics():
     for q in (3, 4, 5, 7):
         f = sporadic_cubic(q)

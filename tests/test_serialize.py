@@ -33,6 +33,8 @@ def test_parse_element_accepts_many_shapes():
     assert parse_element(spec, 7).val == 7
     assert parse_element(spec, g) == g
     assert parse_element(spec, [1, 2]).val == 7
+    assert parse_element(spec, "8").val == 8
+    assert parse_element(spec, "[2,2]").val == 8
 
 
 def test_parse_format_round_trip():
@@ -45,9 +47,11 @@ def test_parse_format_round_trip():
 
 
 def test_parse_element_rejects_garbage():
+    # out-of-range input is refused, not reduced: "301" does not mean 1
     spec = field_of_order(9)
-    with pytest.raises((FieldError, ValueError)):
-        parse_element(spec, "xyz")
+    for text in ("xyz", "9", "301", "-1", "[4,0]", "[1,-1]", 9, [3]):
+        with pytest.raises((FieldError, ValueError)):
+            parse_element(spec, text)
 
 
 def test_curve_dict_round_trip():

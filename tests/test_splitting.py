@@ -3,7 +3,6 @@ import pytest
 from hermplane.crosscheck import fiber_survey
 from hermplane.field import field_of_order
 from hermplane.splitting import (
-    batch_split_mask,
     count_splitting_A,
     exists_split_pe,
     exists_split_pe_plus_one,
@@ -15,36 +14,28 @@ from hermplane.splitting import (
     ramification_allowance,
     rho_parametrization,
     serre_split_threshold,
-    splits_for_A,
     survey_split,
 )
 from hermplane.unipoly import UniPoly, roots_in_field
 
 
-def _brute_count(q, d):
-    """Number of A in F_q^* for which A t^d + t + 1 has d distinct roots in F_q."""
+def _brute_witnesses(q, d):
+    """The A in F_q^*, ascending, for which A t^d + t + 1 has d distinct
+    roots in F_q, found by an evaluation scan."""
     K = field_of_order(q)
-    n = 0
-    for a in range(1, q):
-        f = UniPoly(K, [1, 1] + [0] * (d - 2) + [a])
-        if len(roots_in_field(f, q)) == d:
-            n += 1
-    return n
-
-
-def test_batch_mask_matches_scalar_oracle():
-    for q in (5, 8, 9):
-        K = field_of_order(q)
-        for d in (3, 4, 5):
-            mask = batch_split_mask(K, d)
-            for i, bit in enumerate(mask):
-                assert bool(bit) == splits_for_A(K, d, i + 1)
+    return [
+        a
+        for a in range(1, q)
+        if len(roots_in_field(UniPoly(K, [1, 1] + [0] * (d - 2) + [a]), q)) == d
+    ]
 
 
 def test_count_matches_brute_force():
-    for q in (7, 8, 9, 11, 13, 16):
+    for q in (5, 7, 8, 9, 11, 13, 16):
         for d in (3, 4, 5):
-            assert count_splitting_A(q, d).count == _brute_count(q, d)
+            rep = count_splitting_A(q, d)
+            assert rep.witnesses == _brute_witnesses(q, d), (q, d)
+            assert rep.count == len(rep.witnesses)
 
 
 def test_count_matches_independent_fiber_count():
@@ -165,8 +156,12 @@ def test_ramification_allowance():
 
 
 def test_serre_split_thresholds():
+    assert serre_split_threshold(3) == 7
+    assert serre_split_threshold(4) == 25
     assert serre_split_threshold(5) == 233
     assert serre_split_threshold(6) == 10766
+    # a scan of every q below 8 (C_7 + g_7 + 2)^2 finds the same value
+    assert serre_split_threshold(7) == 933371
 
 
 def test_prime_powers():
