@@ -12,9 +12,11 @@ import csv
 import json
 import sys
 
+from sympy import factorint
+
 from .constructions import ConstructionError, FAMILIES, build
 from .field import FieldError
-from .plane import hermitian_model, intersection, points_on
+from .plane import hermitian_model, intersection, points_on, zero_mask
 from .search import exhaustive_negative_search
 from .serialize import (
     curve_to_dict,
@@ -78,12 +80,13 @@ def _point_str(P):
 
 def cmd_hermitian_points(args):
     h = hermitian_model(args.q, args.model)
-    pts = points_on(h)
-    recs = [{"q": args.q, "model": args.model, "points": len(pts)}]
     if args.emit_points:
         recs = [
-            {"q": args.q, "model": args.model, "point": _point_str(P)} for P in pts
+            {"q": args.q, "model": args.model, "point": _point_str(P)}
+            for P in points_on(h)
         ]
+    else:
+        recs = [{"q": args.q, "model": args.model, "points": int(zero_mask(h).sum())}]
     _emit(recs, args.format)
     return 0
 
@@ -293,6 +296,9 @@ def main(argv=None):
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        q = getattr(args, "q", None)
+        if q is not None and (q < 2 or len(factorint(q)) != 1):
+            raise ValueError(f"--q must be a prime power >= 2 (got {q})")
         return args.fn(args)
     except (ConstructionError, FieldError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -263,6 +263,23 @@ class FieldSpec:
             raise FieldError("inversion of zero")
         return self._exp[self.order - 1 - self._log[a]]
 
+    def monomial_v(self, c, factors):
+        """c * x1^k1 * x2^k2 * ... over broadcastable arrays of encodings.
+
+        `factors` holds (x, k) pairs with k >= 0, and 0^0 = 1.  The product
+        is summed in the log domain and read back with one exp gather; it is
+        zero where c = 0 or where an x with k > 0 is 0.
+        """
+        operands = [(c, 1), *((x, k) for x, k in factors if k)]
+        e = np.zeros(np.broadcast(*(x for x, _ in operands)).shape, dtype=np.int64)
+        for x, k in operands:
+            e += self._log[x] * k
+        np.remainder(e, self.order - 1, out=e)
+        self._exp.take(e, out=e, mode="clip")
+        for x, _ in operands:
+            e *= x != 0
+        return e
+
     # -- element construction -------------------------------------------------
 
     def elem(self, x) -> "FieldElem":

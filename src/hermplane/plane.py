@@ -4,15 +4,19 @@ Homogeneous ternary forms, Hermitian models, point enumeration,
 intersection counting, singularity tests and a bounded factor search used
 as an absolute-irreducibility certifier.
 
-Point counting works by full enumeration of P^2(F_{q^2}); the chart
-(x, y, 1) is evaluated on a Q x Q grid with numpy so that even the
-65793-point plane over F_256 stays fast.
+Every evaluation of forms at points goes through one kernel,
+`form_values`: sum of c * X^i Y^j Z^k over broadcastable numpy arrays of
+coordinate encodings, each term one exp gather in the log domain
+(`FieldSpec.monomial_v`).  Point counting enumerates P^2(F_{q^2}) as three
+charts, (x, y, 1) on a Q x Q grid, (x, 1, 0) and (1, 0, 0); `point_coords`
+maps enumeration indices back to coordinates, so point subsets (the
+Hermitian points, the points off a curve) are evaluated without building
+`ProjPoint`s.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
 
@@ -141,11 +145,6 @@ class TernaryForm:
         return " + ".join(parts) if parts else "0"
 
 
-def form_from_elems(field_spec, degree, terms):
-    """Build a form from a {(i,j,k): FieldElem-or-int} mapping."""
-    return TernaryForm(field_spec, degree, terms)
-
-
 # ---------------------------------------------------------------------------
 # points
 # ---------------------------------------------------------------------------
@@ -220,29 +219,48 @@ def evaluate(f: TernaryForm, P: ProjPoint) -> FieldElem:
     return FieldElem(K, acc)
 
 
+def point_coords(Q: int, idx):
+    """Coordinate arrays (X, Y, Z) of the idx-th points of the canonical
+    enumeration over F_Q, as the chart representatives (x, y, 1), (x, 1, 0)
+    and (1, 0, 0) that `evaluate_all` uses; a vectorized `point_at_index`."""
+    idx = np.asarray(idx, dtype=np.int64)
+    affine = idx < Q * Q
+    line = ~affine & (idx < Q * Q + Q)
+    X = np.where(affine, idx // Q, np.where(line, idx - Q * Q, 1))
+    Y = np.where(affine, idx % Q, line.astype(np.int64))
+    return X, Y, affine.astype(np.int64)
+
+
+def form_values(spec: FieldSpec, coeffs, monos, X, Y, Z) -> np.ndarray:
+    """Sum of c * X^i Y^j Z^k over zip(coeffs, monos), elementwise.
+
+    X, Y, Z are broadcastable arrays (or scalars) of coordinate encodings.
+    `coeffs` is a sequence of encodings or an (M, ...) array whose rows
+    broadcast against the points, so a batch of forms (rows of
+    coefficients) is one call with ``batch.T[:, :, None]``.  A form with
+    no terms evaluates to 0.
+    """
+    points = (X, Y, Z)
+    shape = np.broadcast_shapes(*map(np.shape, points), np.shape(coeffs)[1:])
+    acc = np.zeros(shape, dtype=np.int64)
+    # a scalar zero coordinate with a positive exponent zeroes the whole
+    # term; skipping it saves a call on the charts (x, 1, 0), (1, 0, 0) and
+    # at the prefilter's single points
+    zero = [np.ndim(x) == 0 and x == 0 for x in points]
+    for c, m in zip(coeffs, monos):
+        if not any(z and e for z, e in zip(zero, m)):
+            acc = spec.add_v(acc, spec.monomial_v(c, zip(points, m)))
+    return acc
+
+
 def evaluate_all(f: TernaryForm) -> np.ndarray:
     """Values of f at every point of P^2, in canonical enumeration order."""
-    K = f.field
-    Q = K.order
-    xs = np.arange(Q, dtype=np.int64)
-    affine = np.zeros((Q, Q), dtype=np.int64)
-    line = np.zeros(Q, dtype=np.int64)
-    far = 0
-    pow_cache: dict[int, np.ndarray] = {}
-
-    def powv(e):
-        if e not in pow_cache:
-            pow_cache[e] = K.pow_v(xs, e)
-        return pow_cache[e]
-
-    for (i, j, k), c in f.terms.items():
-        if k == 0:
-            line = K.add_v(line, K.mul_v(np.int64(c), powv(i)))
-            if j == 0:
-                far = K.add(far, c)
-        term = K.mul_v(powv(i)[:, None], powv(j)[None, :])
-        affine = K.add_v(affine, K.mul_v(np.int64(c), term))
-    return np.concatenate([affine.reshape(-1), line, [far]])
+    xs = np.arange(f.field.order, dtype=np.int64)
+    monos, coeffs = tuple(f.terms), tuple(f.terms.values())
+    charts = ((xs[:, None], xs[None, :], 1), (xs, 1, 0), (1, 0, 0))
+    return np.concatenate(
+        [form_values(f.field, coeffs, monos, *pt).reshape(-1) for pt in charts]
+    )
 
 
 def zero_mask(f: TernaryForm) -> np.ndarray:
@@ -457,27 +475,6 @@ def _coeff_batches(Q: int, M: int, chunk: int = 1 << 15):
             start += n
 
 
-def _batch_has_no_zero_outside(spec, batch, mono_vals):
-    """Rows of `batch` whose form has no zero at the given monomial-value rows.
-
-    mono_vals has shape (n_points, M); candidates are eliminated point by
-    point, compacting survivors, so the expected cost is O(len(batch) * Q).
-    """
-    survivors = np.arange(len(batch))
-    cur = batch
-    for row in mono_vals:
-        vals = np.zeros(len(cur), dtype=np.int64)
-        for j, mv in enumerate(row):
-            if mv:
-                vals = spec.add_v(vals, spec.mul_v(np.int64(mv), cur[:, j]))
-        keep = vals != 0
-        survivors = survivors[keep]
-        cur = cur[keep]
-        if not len(cur):
-            break
-    return survivors
-
-
 def _search_degree_k_factor(f: TernaryForm, k: int):
     """First canonical degree-k factor of f, or None; returns (factor, scanned)."""
     spec = f.field
@@ -489,34 +486,18 @@ def _search_degree_k_factor(f: TernaryForm, k: int):
 
     use_prefilter = total > _PREFILTER_THRESHOLD
     if use_prefilter:
-        off_curve = np.nonzero(~zero_mask(f))[0]
-        Q2 = Q * Q
-        pts = []
-        for idx in map(int, off_curve):
-            if idx < Q2:
-                pts.append((idx // Q, idx % Q, 1))
-            elif idx < Q2 + Q:
-                pts.append((idx - Q2, 1, 0))
-            else:
-                pts.append((1, 0, 0))
-        mono_vals = np.array(
-            [
-                [
-                    spec.mul(spec.pow(x, i), spec.mul(spec.pow(y, j), spec.pow(z, kk)))
-                    for (i, j, kk) in monos
-                ]
-                for (x, y, z) in pts
-            ],
-            dtype=np.int64,
-        )
+        # a factor of f vanishes nowhere off the curve f = 0
+        off_curve = point_coords(Q, np.nonzero(~zero_mask(f))[0])
 
     for batch in _coeff_batches(Q, M):
         scanned += len(batch)
+        candidates = batch
         if use_prefilter:
-            rows = _batch_has_no_zero_outside(spec, batch, mono_vals)
-            candidates = batch[rows]
-        else:
-            candidates = batch
+            for x, y, z in zip(*off_curve):
+                values = form_values(spec, candidates.T, monos, x, y, z)
+                candidates = candidates[values != 0]
+                if not len(candidates):
+                    break
         for row in candidates:
             g = TernaryForm(spec, k, {m: int(c) for m, c in zip(monos, row) if c})
             if divides(g, f):

@@ -18,12 +18,13 @@ from .plane import (
     TernaryForm,
     _coeff_batches,
     divides,
-    evaluate_all,
+    form_values,
     hermitian_model,
     intersection,
     monomials,
-    point_at_index,
+    point_coords,
     reducibility_search,
+    zero_mask,
 )
 
 SCAN_BUDGET = 10**7
@@ -69,37 +70,6 @@ def projective_form_count(Q: int, M: int) -> int:
     return (Q**M - 1) // (Q - 1)
 
 
-def _hermitian_point_values(q: int, model: str, d: int):
-    """Monomial value matrix (M, n) over the rational Hermitian points."""
-    h = hermitian_model(q, model)
-    spec = h.field
-    idxs = np.nonzero(evaluate_all(h) == 0)[0]
-    mons = monomials(d)
-    pts = [point_at_index(spec, int(i)) for i in idxs]
-    vals = np.empty((len(mons), len(idxs)), dtype=np.int64)
-    for r, (i, j, k) in enumerate(mons):
-        vals[r] = [
-            spec.mul(
-                spec.mul(spec.pow(P.coords[0].val, i), spec.pow(P.coords[1].val, j)),
-                spec.pow(P.coords[2].val, k),
-            )
-            for P in pts
-        ]
-    return spec, mons, vals
-
-
-def _count_zero_hits(spec, vals, batch):
-    """Zeros among the Hermitian points for each coefficient row."""
-    n = vals.shape[1]
-    acc = np.zeros((batch.shape[0], n), dtype=np.int64)
-    for r in range(vals.shape[0]):
-        col = batch[:, r]
-        nz = col != 0
-        if nz.any():
-            acc[nz] = spec.add_v(acc[nz], spec.mul_v(col[nz, None], vals[r][None, :]))
-    return (acc == 0).sum(axis=1)
-
-
 def _shares_hermitian_component(form: TernaryForm, h: TernaryForm) -> bool:
     if form.degree == h.degree:
         return form == h
@@ -109,8 +79,11 @@ def _shares_hermitian_component(form: TernaryForm, h: TernaryForm) -> bool:
 
 
 def _run_search(q, d, model, budget, limit):
-    spec, mons, vals = _hermitian_point_values(q, model, d)
+    h = hermitian_model(q, model)
+    spec = h.field
     Q = spec.order
+    points = point_coords(Q, np.nonzero(zero_mask(h))[0])
+    mons = monomials(d)
     M = len(mons)
     total = projective_form_count(Q, M)
     if limit is None and total > budget:
@@ -119,7 +92,6 @@ def _run_search(q, d, model, budget, limit):
         )
     cap = total if limit is None else min(total, budget)
     target = d * (q + 1)
-    h = hermitian_model(q, model)
     t0 = time.monotonic()
     report = SearchReport(q, d, model, target, 0, False)
     for batch in _coeff_batches(Q, M):
@@ -127,7 +99,8 @@ def _run_search(q, d, model, budget, limit):
             break
         if report.total_forms_scanned + batch.shape[0] > cap:
             batch = batch[: cap - report.total_forms_scanned]
-        hits = _count_zero_hits(spec, vals, batch)
+        values = form_values(spec, batch.T[:, :, None], mons, *points)
+        hits = np.count_nonzero(values == 0, axis=1)
         report.total_forms_scanned += batch.shape[0]
         for idx in np.nonzero(hits == target)[0]:
             form = TernaryForm(

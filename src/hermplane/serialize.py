@@ -75,12 +75,24 @@ def curve_to_dict(form: TernaryForm, model: str | None = None) -> dict:
     return d
 
 
+def _require(obj, keys, what):
+    """The values of `keys` in the JSON object `obj`, or a ValueError."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} is not a JSON object")
+    for key in keys:
+        if key not in obj:
+            raise ValueError(f"{what} has no {key!r} key")
+    return [obj[key] for key in keys]
+
+
 def curve_from_dict(data: dict) -> TernaryForm:
-    spec = field_of_order(data["p"] ** data["m"])
+    p, m, degree, raw_terms = _require(data, ("p", "m", "degree", "terms"), "curve")
+    spec = field_of_order(p**m)
     terms = {}
-    for t in data["terms"]:
-        terms[(t["i"], t["j"], t["k"])] = parse_element(spec, t["coeff"]).val
-    return TernaryForm(spec, data["degree"], terms)
+    for t in raw_terms:
+        i, j, k, coeff = _require(t, ("i", "j", "k", "coeff"), "curve term")
+        terms[(i, j, k)] = parse_element(spec, coeff).val
+    return TernaryForm(spec, degree, terms)
 
 
 def save_curve(path, form: TernaryForm, model: str | None = None):

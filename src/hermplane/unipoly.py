@@ -114,42 +114,3 @@ def roots_in_field(f: UniPoly, q: int) -> list[FieldElem]:
             out.append(x)
     return out
 
-
-# ---------------------------------------------------------------------------
-# text form: "c_k*t^k + ... + c_0" with field-element serialization
-# ---------------------------------------------------------------------------
-
-def poly_to_text(f: UniPoly) -> str:
-    if f.is_zero():
-        return "0"
-    parts = []
-    for k in range(f.degree, -1, -1):
-        c = f.coeffs[k]
-        if c == 0:
-            continue
-        coeff = str(f.spec.to_coeffs(c)).replace(" ", "")
-        parts.append(coeff if k == 0 else f"{coeff}*t^{k}")
-    return " + ".join(parts)
-
-
-def poly_from_text(spec: FieldSpec, text: str) -> UniPoly:
-    from .serialize import parse_element
-
-    coeffs: dict[int, int] = {}
-    for part in text.split("+"):
-        part = part.strip()
-        if not part or part == "0":
-            continue
-        if "*t^" in part:
-            coeff_s, _, exp_s = part.partition("*t^")
-            k = int(exp_s)
-        elif part == "t":
-            coeff_s, k = "[1]", 1
-        else:
-            coeff_s, k = part, 0
-        v = parse_element(spec, coeff_s).val
-        coeffs[k] = spec.add(coeffs.get(k, 0), v)
-    out = [0] * (max(coeffs, default=0) + 1)
-    for k, v in coeffs.items():
-        out[k] = v
-    return UniPoly(spec, out)

@@ -95,6 +95,44 @@ def test_intersect_rejects_out_of_range_coefficient(capsys, tmp_path):
         assert "outside" in err
 
 
+@pytest.mark.parametrize(
+    "data, key",
+    [
+        ({"p": 3}, "'m'"),
+        ({"p": 3, "m": 2, "degree": 1, "terms": [{"i": 1, "j": 0, "k": 0}]}, "'coeff'"),
+        ([3, 2], "not a JSON object"),
+        ({"p": 3, "m": 2, "degree": 1, "terms": [7]}, "not a JSON object"),
+    ],
+)
+def test_intersect_rejects_malformed_curve_file(capsys, tmp_path, data, key):
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "intersect", "--curve", str(path), "--q", "3")
+    assert code == 2
+    assert out == ""
+    assert key in err
+    assert "Traceback" not in err
+
+
+_Q_COMMANDS = [
+    ["hermitian-points"],
+    ["intersect", "--curve", "no-such-file.json"],
+    ["construct", "--family", "degree-q"],
+    ["verify", "--family", "degree-q"],
+    ["split-count", "--d", "3"],
+    ["negative-search", "--d", "2"],
+]
+
+
+@pytest.mark.parametrize("q", [-2, 0, 1, 6])
+@pytest.mark.parametrize("command", _Q_COMMANDS, ids=lambda c: c[0])
+def test_q_must_be_a_prime_power(capsys, command, q):
+    code, out, err = run(capsys, *command, "--q", str(q))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --q must be a prime power >= 2 (got {q})\n"
+
+
 def test_split_count(capsys):
     code, out, _ = run(capsys, "split-count", "--q", "16", "--d", "4", "--format", "json")
     assert code == 0

@@ -142,3 +142,13 @@ def test_vector_ops_match_scalar_ops():
     p3 = spec.pow_v(a, 3)
     for i in range(16):
         assert p3[i] == spec.pow(int(a[i]), 3)
+    # c * a^i * b^j on the 16 x 16 grid, with 0^0 = 1
+    for c in (0, 1, 7):
+        for i, j in ((0, 0), (2, 0), (0, 3), (1, 4)):
+            got = spec.monomial_v(c, ((a[:, None], i), (b[None, :], j)))
+            got = np.broadcast_to(got, (16, 16))
+            for r, x in enumerate(a.tolist()):
+                for s, y in enumerate(b.tolist()):
+                    xy = spec.mul(spec.pow(x, i), spec.pow(y, j))
+                    assert got[r, s] == spec.mul(c, xy)
+

@@ -1,12 +1,17 @@
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hermplane.field import FieldElem, field_of_order
 from hermplane.plane import (
+    ProjPoint,
     TernaryForm,
     absolute_irreducibility_status,
     divides,
     enumerate_proj_points,
     evaluate,
+    evaluate_all,
+    form_values,
     has_smooth_rational_point,
     hermitian_model,
     intersection,
@@ -14,6 +19,7 @@ from hermplane.plane import (
     monomials,
     partials,
     point_at_index,
+    point_coords,
     points_on,
     reducibility_search,
 )
@@ -37,6 +43,81 @@ def test_point_at_index_matches_enumeration():
     pts = list(enumerate_proj_points(spec))
     for i in (0, 1, 17, len(pts) - 1):
         assert point_at_index(spec, i) == pts[i]
+    # the vectorized form, at every index
+    X, Y, Z = point_coords(9, np.arange(len(pts)))
+    for i, P in enumerate(pts):
+        assert ProjPoint(*(FieldElem(spec, int(v[i])) for v in (X, Y, Z))) == P
+
+
+def _chart_representative(Q, idx):
+    """(x, y, 1), (x, 1, 0) or (1, 0, 0): the coordinates evaluate_all uses."""
+    if idx < Q * Q:
+        return idx // Q, idx % Q, 1
+    if idx < Q * Q + Q:
+        return idx - Q * Q, 1, 0
+    return 1, 0, 0
+
+
+def _scalar_value(f, xyz):
+    K = f.field
+    acc = 0
+    for m, c in f.terms.items():
+        term = c
+        for v, e in zip(xyz, m):
+            term = K.mul(term, K.pow(v, e))
+        acc = K.add(acc, term)
+    return acc
+
+
+@st.composite
+def _forms(draw):
+    Q = draw(st.sampled_from((4, 9, 16, 25)))
+    d = draw(st.integers(0, 4))
+    spec = field_of_order(Q)
+    coeff = st.one_of(st.just(0), st.integers(0, Q - 1))
+    terms = {m: draw(coeff) for m in monomials(d)}
+    return TernaryForm(spec, d, terms)
+
+
+@given(_forms())
+@settings(max_examples=40, deadline=None)
+def test_evaluate_all_matches_scalar_evaluation(f):
+    Q = f.field.order
+    values = evaluate_all(f)
+    assert values.shape == (Q * Q + Q + 1,)
+    want = [_scalar_value(f, _chart_representative(Q, i)) for i in range(len(values))]
+    assert values.tolist() == want
+
+
+def test_batch_rows_match_single_form_calls():
+    spec = field_of_order(16)
+    monos = monomials(2)
+    rng = np.random.default_rng(7)
+    batch = rng.integers(0, 16, size=(50, len(monos)))
+    batch[rng.random(batch.shape) < 0.4] = 0
+    X, Y, Z = point_coords(16, np.arange(16 * 16 + 16 + 1))
+    values = form_values(spec, batch.T[:, :, None], monos, X, Y, Z)
+    assert values.shape == (50, len(X))
+    for row, got in zip(batch, values):
+        assert (got == form_values(spec, row, monos, X, Y, Z)).all()
+        form = TernaryForm(spec, 2, {m: int(c) for m, c in zip(monos, row)})
+        assert (got == evaluate_all(form)).all()
+
+
+def test_zero_form_evaluates_to_zero():
+    for q in (4, 9):
+        spec = field_of_order(q)
+        for d in (0, 2):
+            values = evaluate_all(TernaryForm(spec, d, {}))
+            assert values.shape == (q * q + q + 1,)
+            assert not values.any()
+
+
+def test_inseparable_power_has_no_smooth_point():
+    # all partials of Y^p vanish in characteristic p, so no point is smooth
+    for p in (2, 3):
+        spec = field_of_order(p * p)
+        assert not has_smooth_rational_point(TernaryForm(spec, p, {(0, p, 0): 1}))
 
 
 def test_form_arithmetic():

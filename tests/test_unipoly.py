@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hermplane.field import field_of_order
-from hermplane.unipoly import UniPoly, poly_from_text, poly_to_text, roots_in_field
+from hermplane.unipoly import UniPoly, roots_in_field
 
 
 def _poly(q, coeffs):
@@ -21,12 +21,6 @@ def test_roots_in_field_ignores_multiplicity():
     lin = UniPoly(K, [3, 1])
     sq = lin * lin
     assert [x.val for x in roots_in_field(sq, 7)] == [K.neg(3)]
-
-
-def test_text_round_trip():
-    K = field_of_order(9)
-    f = UniPoly(K, [2, 0, 5, 1])
-    assert poly_from_text(K, poly_to_text(f)) == f
 
 
 @given(st.lists(st.integers(0, 8), min_size=1, max_size=6),
