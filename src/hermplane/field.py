@@ -8,6 +8,10 @@ so two builds of the same field are identical.
 
 Multiplication runs through log/antilog tables built from the generator;
 addition is a table lookup for small fields and digit arithmetic otherwise.
+The tables come from F_p-linear algebra on digit vectors: multiplication by
+c is an m x m matrix over F_p (rows built from the companion matrix of the
+modulus), so the powers of c fill in log2(q) matrix doublings, and the first
+c in encoding order whose powers reach 1 only at q-1 is the generator.
 Vectorized (numpy) variants of all operations are provided for the hot
 enumeration loops elsewhere in the package.
 """
@@ -15,6 +19,7 @@ enumeration loops elsewhere in the package.
 from __future__ import annotations
 
 from functools import lru_cache
+from math import gcd
 
 import numpy as np
 from sympy import factorint, isprime
@@ -52,15 +57,6 @@ def _poly_mod(a, b, p):
             a[shift + i] = (a[shift + i] - c * b[i]) % p
         _poly_trim(a)
     return a
-
-
-def _poly_mul(a, b, p):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _poly_trim(out)
 
 
 def _divides(small, big, p):
@@ -115,8 +111,6 @@ class FieldSpec:
         self.m = m
         self.order = p ** m
         self.modulus = self._canonical_modulus()
-        self._order_factors = sorted(factorint(self.order - 1)) if self.order > 2 else []
-        self.generator = self._canonical_generator()
         self._build_tables()
 
     # -- construction helpers ------------------------------------------------
@@ -130,54 +124,63 @@ class FieldSpec:
                 return tuple(cand)
         raise AssertionError("no irreducible polynomial found")  # unreachable
 
-    def _mul_slow(self, a, b):
-        prod = _poly_mul(_decode(a, self.p, self.m), _decode(b, self.p, self.m), self.p)
-        return _encode(_poly_mod(prod, list(self.modulus), self.p), self.p)
-
-    def _pow_slow(self, a, e):
-        r = 1
-        while e:
-            if e & 1:
-                r = self._mul_slow(r, a)
-            a = self._mul_slow(a, a)
-            e >>= 1
-        return r
-
-    def _canonical_generator(self):
-        n = self.order - 1
-        if n == 1:
-            return 1
-        for cand in range(1, self.order):
-            if self._pow_slow(cand, n) != 1:
-                continue
-            if all(self._pow_slow(cand, n // ell) != 1 for ell in self._order_factors):
-                return cand
-        raise AssertionError("no generator found")  # unreachable
-
     def _build_tables(self):
-        q1 = self.order - 1
-        exp = np.empty(2 * q1 + 1, dtype=np.int64)
+        p, m, q1 = self.p, self.m, self.order - 1
+        pw = p ** np.arange(m, dtype=np.int64)
+        # multiplying a digit row by the companion matrix multiplies by x
+        comp = np.zeros((m, m), dtype=np.int64)
+        comp[:-1, 1:] = np.eye(m - 1, dtype=np.int64)
+        comp[-1] = np.negative(self.modulus[:m]) % p
+        rows = np.zeros((q1, m), dtype=np.int64)
+        rows[0, 0] = 1
+        self.generator = next(
+            c for c in range(1, self.order) if self._fill_powers(rows, c, comp, pw)
+        )
+        exp = rows @ pw
+        self._exp = np.concatenate((exp, exp, exp[:1]))
         log = np.full(self.order, -1, dtype=np.int64)
-        x = 1
-        for k in range(q1):
-            exp[k] = x
-            log[x] = k
-            x = self._mul_slow(x, self.generator)
-        exp[q1:] = exp[: q1 + 1]
-        self._exp = exp
+        log[exp] = np.arange(q1, dtype=np.int64)
         self._log = log
-        pw = self.p ** np.arange(self.m, dtype=np.int64)
-        dig = np.empty((self.order, self.m), dtype=np.int64)
-        idx = np.arange(self.order, dtype=np.int64)
-        for i in range(self.m):
-            dig[:, i] = (idx // pw[i]) % self.p
+        dig = np.zeros((self.order, m), dtype=np.int64)
+        dig[exp] = rows
+        del rows, exp  # before the digit tables: the peak of a large build
         self._dig = dig
         self._pw = pw
-        self._neg = ((-dig) % self.p) @ pw
-        if self.p > 2 and self.m > 1 and self.order <= _ADD_TABLE_LIMIT:
-            self._add_tab = ((dig[:, None, :] + dig[None, :, :]) % self.p) @ pw
+        neg = np.negative(dig)
+        neg %= p
+        self._neg = neg @ pw
+        if p > 2 and m > 1 and self.order <= _ADD_TABLE_LIMIT:
+            add = np.zeros((self.order, self.order), dtype=np.int64)
+            for i in range(m):  # digit by digit: no (q, q, m) temporary
+                add += (dig[:, i, None] + dig[:, i]) % p * pw[i]
+            self._add_tab = add
         else:
             self._add_tab = None
+
+    def _fill_powers(self, rows, c, comp, pw):
+        """Write the digits of c^0 .. c^(q-2) into rows; False if c is not primitive.
+
+        Multiplication by c is the F_p-linear map T with row i = digits of
+        c*x^i, so each doubling step rows[k:2k] = rows[:k] @ T, T = T @ T
+        doubles the powers known.  c is primitive exactly when no power in
+        rows[1:] is 1; the check runs per block, so a c of order n stops at
+        the doubling that reaches c^n.
+        """
+        p = self.p
+        T = np.empty((self.m, self.m), dtype=np.int64)
+        T[0] = c // pw % p
+        for i in range(1, self.m):
+            T[i] = T[i - 1] @ comp % p
+        k = 1
+        while k < len(rows):
+            blk = rows[k : 2 * k]
+            np.matmul(rows[: len(blk)], T, out=blk)
+            blk %= p
+            if np.any(blk @ pw == 1):
+                return False
+            T = T @ T % p
+            k += len(blk)
+        return True
 
     # -- scalar arithmetic on encodings -------------------------------------
 
@@ -224,10 +227,7 @@ class FieldSpec:
         if a == 0:
             raise FieldError("zero has no multiplicative order")
         n = self.order - 1
-        for ell in self._order_factors:
-            while n % ell == 0 and self.pow(a, n // ell) == 1:
-                n //= ell
-        return n
+        return n // gcd(n, int(self._log[a]))
 
     # -- vectorized arithmetic on int64 arrays of encodings ------------------
 
@@ -257,11 +257,6 @@ class FieldSpec:
         nz = a != 0
         out[nz] = self._exp[(self._log[a[nz]] * e) % (self.order - 1)]
         return out
-
-    def inv_v(self, a):
-        if np.any(a == 0):
-            raise FieldError("inversion of zero")
-        return self._exp[self.order - 1 - self._log[a]]
 
     def monomial_v(self, c, factors):
         """c * x1^k1 * x2^k2 * ... over broadcastable arrays of encodings.

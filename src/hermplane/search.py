@@ -3,8 +3,9 @@
 These back the small-field impossibility results: for some (q, d) no
 irreducible degree-d curve meets the Hermitian curve in d(q+1) distinct
 rational points.  Every projective equivalence class of ternary forms is
-scanned, counting zeros among the q^3+1 Hermitian points only, and each
-achiever is re-verified and classified by a complete factor search.
+scanned, counting zeros among the q^3+1 Hermitian points only (that count
+is the intersection number), and each achiever that shares no component
+with the Hermitian model is classified by a complete factor search.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .plane import (
     divides,
     form_values,
     hermitian_model,
-    intersection,
     monomials,
     point_coords,
     reducibility_search,
@@ -106,9 +106,6 @@ def _run_search(q, d, model, budget, limit):
             form = TernaryForm(
                 spec, d, {m: int(c) for m, c in zip(mons, batch[idx]) if c}
             )
-            rep = intersection(h, form)
-            if rep.degenerate or rep.count != target:
-                continue
             if _shares_hermitian_component(form, h):
                 continue
             report.achievers.append(form)

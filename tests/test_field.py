@@ -1,5 +1,9 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from sympy import factorint
+from sympy.polys.domains import ZZ
+from sympy.polys.galoistools import gf_add, gf_irreducible_p, gf_mul, gf_rem, gf_strip
 
 from hermplane.field import (
     FieldElem,
@@ -135,10 +139,6 @@ def test_vector_ops_match_scalar_ops():
     for i in range(16):
         assert add[i] == spec.add(int(a[i]), int(b[i]))
         assert mul[i] == spec.mul(int(a[i]), int(b[i]))
-    nz = a[1:]
-    inv = spec.inv_v(nz)
-    for i, v in enumerate(nz):
-        assert inv[i] == spec.inv(int(v))
     p3 = spec.pow_v(a, 3)
     for i in range(16):
         assert p3[i] == spec.pow(int(a[i]), 3)
@@ -152,3 +152,90 @@ def test_vector_ops_match_scalar_ops():
                     xy = spec.mul(spec.pow(x, i), spec.pow(y, j))
                     assert got[r, s] == spec.mul(c, xy)
 
+
+# -- FieldSpec against sympy's galoistools, which shares no code with it ------
+
+def _gf(a, p):
+    """Encoding a as a galoistools polynomial (most significant first)."""
+    out = []
+    while a:
+        a, r = divmod(a, p)
+        out.append(r)
+    return gf_strip(out[::-1])
+
+
+def _enc(poly, p):
+    n = 0
+    for c in poly:
+        n = n * p + c
+    return n
+
+
+def _gf_modulus(p, m):
+    """The smallest-encoded monic irreducible of degree m (x for m = 1)."""
+    if m == 1:
+        return [1, 0]
+    for n in range(p**m):
+        tail = _gf(n, p)
+        f = [1] + [0] * (m - len(tail)) + tail
+        if gf_irreducible_p(f, p, ZZ):
+            return f
+
+
+def _gf_order(a, g, p):
+    """Multiplicative order of a != 0 by walking its powers."""
+    x, k = a, 1
+    while x != [1]:
+        x = gf_rem(gf_mul(x, a, p, ZZ), g, p, ZZ)
+        k += 1
+    return k
+
+
+def _prime_powers(hi):
+    return [q for q in range(2, hi + 1) if len(factorint(q)) == 1]
+
+
+# every field the matrix and the benchmark build, and F_{3^8} for the
+# digit-path addition of odd-p fields above the add-table limit
+ARITH_FIELDS = [q * q for q in _prime_powers(32) + [64]] + [
+    13**3, 47**2, 7**4, 3**7, 2**11, 3**8,
+]
+
+
+@pytest.mark.parametrize("Q", ARITH_FIELDS)
+def test_arithmetic_matches_galoistools(Q):
+    spec = field_of_order(Q)
+    p = spec.p
+    g = _gf_modulus(p, spec.m)
+    assert list(reversed(spec.modulus)) == g
+    rng = np.random.default_rng(Q)
+    a, b = rng.integers(0, Q, (2, 200))
+    a[:3], b[:3] = (0, 1, Q - 1), (Q - 1, 0, Q - 1)
+    add_v, mul_v = spec.add_v(a, b), spec.mul_v(a, b)
+    for x, y, s, t in zip(a.tolist(), b.tolist(), add_v.tolist(), mul_v.tolist()):
+        fx, fy = _gf(x, p), _gf(y, p)
+        want_add = _enc(gf_add(fx, fy, p, ZZ), p)
+        want_mul = _enc(gf_rem(gf_mul(fx, fy, p, ZZ), g, p, ZZ), p)
+        assert spec.add(x, y) == s == want_add
+        assert spec.mul(x, y) == t == want_mul
+
+
+def test_generator_and_orders_match_power_walk():
+    rng = np.random.default_rng(0)
+    for Q in _prime_powers(1024):
+        spec = field_of_order(Q)
+        p, g = spec.p, _gf_modulus(spec.p, spec.m)
+        # the generator is the first encoding whose powers reach 1 at Q - 1
+        walked = [_gf_order(_gf(c, p), g, p) for c in range(1, spec.generator + 1)]
+        assert walked[-1] == Q - 1 and max(walked[:-1], default=0) < Q - 1
+        for c in range(1, spec.generator + 1):
+            assert spec.element_order(c) == walked[c - 1]
+        for c in rng.integers(1, Q, 4).tolist():
+            assert spec.element_order(c) == _gf_order(_gf(c, p), g, p)
+
+
+def test_exp_table_is_periodic():
+    for Q in _prime_powers(64) + ARITH_FIELDS:
+        spec = field_of_order(Q)
+        k = np.arange(len(spec._exp))
+        assert np.array_equal(spec._exp, spec._exp[k % (Q - 1)])
