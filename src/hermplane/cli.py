@@ -189,7 +189,6 @@ def cmd_negative_search(args):
         rec.pop("achievers", None)
         rec.pop("irreducible_achievers", None)
         rec.pop("reducible_achievers", None)
-    rec.pop("wallclock", None)
     _emit([rec], args.format)
     return 0
 

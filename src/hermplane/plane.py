@@ -1,7 +1,7 @@
 """Projective plane geometry over F_{q^2}.
 
 Homogeneous ternary forms, Hermitian models, point enumeration,
-intersection counting, singularity tests and a bounded factor search used
+intersection counting, singularity tests and a factor certificate used
 as an absolute-irreducibility certifier.
 
 Every evaluation of forms at points goes through one kernel,
@@ -12,6 +12,16 @@ charts, (x, y, 1) on a Q x Q grid, (x, 1, 0) and (1, 0, 0); `point_coords`
 maps enumeration indices back to coordinates, so point subsets (the
 Hermitian points, the points off a curve) are evaluated without building
 `ProjPoint`s.
+
+The factor certificate works on the Q^2+Q+1 lines of the plane, each
+parametrized as {A + tB : t in F_Q} and B (`line_points`).  A restriction
+to a line factors the way the form does: if f = gh then f|_L = g|_L h|_L.
+So f has a linear factor only where it vanishes on a whole line
+(`vanishing_lines`, one kernel call over all lines), and when d <= Q a
+factor of degree k makes k a sum of degrees of irreducible factors of
+every squarefree restriction f|_L (read off by `unipoly.factor_degrees`).
+The levels k the lines cannot exclude fall back to a budgeted enumeration
+of candidate factors.
 """
 
 from __future__ import annotations
@@ -23,10 +33,16 @@ from math import isqrt
 import numpy as np
 
 from .field import FieldElem, FieldError, FieldSpec
+from .unipoly import UniPoly, factor_degrees, is_squarefree
 
 DEFAULT_FACTOR_BUDGET = 10**7
 
 _PREFILTER_THRESHOLD = 50_000
+
+# elements of the largest (forms x lines x points) array of a line test
+_LINE_CHUNK = 1 << 16
+# restrictions interpolated per kernel call while walking the lines
+_LINE_BATCH = 32
 
 
 def monomials(d: int) -> list[tuple[int, int, int]]:
@@ -444,7 +460,8 @@ def divides(g: TernaryForm, f: TernaryForm) -> bool:
 class ReducibilityResult:
     status: str  # "irreducible" | "factor" | "budget-exceeded"
     factor: TernaryForm | None = None
-    scanned: int = 0
+    scanned: int = 0  # candidate factors tested: every line, then enumerated forms
+    skipped: tuple[int, ...] = ()  # factor degrees left open for budget
 
 
 @dataclass
@@ -452,6 +469,131 @@ class IrreducibilityStatus:
     status: str  # "absolutely-irreducible" | "reducible" | "undetermined"
     factor: TernaryForm | None = None
     reason: str = ""
+
+
+# ---------------------------------------------------------------------------
+# lines
+# ---------------------------------------------------------------------------
+
+def line_count(Q: int) -> int:
+    """The number of lines of P^2(F_Q)."""
+    return Q * Q + Q + 1
+
+
+def _line_frames(spec: FieldSpec, idx):
+    """Points A, B (six coordinate arrays) of lines idx; line = {A + tB} + {B}.
+
+    Lines 0..Q^2-1 are z = ux + vy with (u, v) = divmod(i, Q), A = (1, 0, u),
+    B = (0, 1, v); lines Q^2..Q^2+Q-1 are y = ux with A = (1, u, 0),
+    B = (0, 0, 1); the last line is x = 0 with A = (0, 1, 0), B = (0, 0, 1).
+    """
+    Q = spec.order
+    idx = np.asarray(idx, dtype=np.int64)
+    plane = idx < Q * Q
+    last = idx == Q * Q + Q
+    u = np.where(plane, idx // Q, idx - Q * Q)
+    A = (
+        (~last).astype(np.int64),
+        np.where(plane, 0, np.where(last, 1, u)),
+        np.where(plane, u, 0),
+    )
+    B = (np.zeros_like(idx), plane.astype(np.int64), np.where(plane, idx % Q, 1))
+    return A, B
+
+
+def line_points(spec: FieldSpec, idx):
+    """Coordinate arrays (X, Y, Z) of shape (len(idx), Q+1) of lines idx.
+
+    Column 0 is B, column 1 + t is A + tB for t in encoding order.
+    """
+    A, B = _line_frames(spec, idx)
+    t = np.arange(spec.order, dtype=np.int64)
+    return tuple(
+        np.concatenate((b[:, None], spec.add_v(a[:, None], spec.mul_v(t, b[:, None]))), axis=1)
+        for a, b in zip(A, B)
+    )
+
+
+def line_form(spec: FieldSpec, i: int) -> TernaryForm:
+    """The linear form of line i of the `line_points` enumeration."""
+    Q = spec.order
+    if i < Q * Q:
+        u, v = divmod(i, Q)
+        terms = {(1, 0, 0): u, (0, 1, 0): v, (0, 0, 1): spec.neg(1)}
+    elif i < Q * Q + Q:
+        terms = {(1, 0, 0): i - Q * Q, (0, 1, 0): spec.neg(1)}
+    else:
+        terms = {(1, 0, 0): 1}
+    return TernaryForm(spec, 1, terms)
+
+
+def vanishing_lines(spec: FieldSpec, monos, batch) -> np.ndarray:
+    """(len(batch), Q^2+Q+1) mask: form r vanishes at every point of line l.
+
+    `batch` holds coefficient rows over `monos`.  Lines are evaluated in
+    chunks so no temporary exceeds about _LINE_CHUNK elements per form
+    row, and at least one line at a time.
+    """
+    batch = np.asarray(batch, dtype=np.int64)
+    n_lines = line_count(spec.order)
+    out = np.empty((len(batch), n_lines), dtype=bool)
+    step = max(1, _LINE_CHUNK // (len(batch) * (spec.order + 1)))
+    coeffs = batch.T[:, :, None, None]
+    for lo in range(0, n_lines, step):
+        idx = np.arange(lo, min(lo + step, n_lines))
+        values = form_values(spec, coeffs, monos, *line_points(spec, idx))
+        out[:, lo : lo + len(idx)] = ~values.any(axis=-1)
+    return out
+
+
+def _restrictions(f: TernaryForm, idx) -> np.ndarray:
+    """Coefficients (little endian in t) of f(A + tB) on lines idx; d <= Q.
+
+    Row i is c_0 .. c_d with c_d = f(B).  P(t) = f(A + tB) - c_d t^d has
+    degree <= d - 1 <= Q - 1, so it is interpolated from its values on F_Q:
+    c_0 = P(0) and c_j = -sum_t P(t) t^(Q-1-j) for 1 <= j <= Q - 1, as
+    sum_t t^e over F_Q is -1 when Q - 1 divides e > 0 and 0 otherwise.
+    """
+    spec, d = f.field, f.degree
+    Q = spec.order
+    values = form_values(spec, tuple(f.terms.values()), tuple(f.terms), *line_points(spec, idx))
+    t = np.arange(Q, dtype=np.int64)
+    lead = values[:, 0]
+    P = spec.add_v(values[:, 1:], spec.neg_v(spec.mul_v(lead[:, None], spec.pow_v(t, d))))
+    W = np.stack([spec.pow_v(t, Q - 1 - j) for j in range(1, d)], axis=1)
+    acc = np.zeros((len(values), d - 1), dtype=np.int64)
+    for x in range(Q):
+        acc = spec.add_v(acc, spec.mul_v(P[:, x, None], W[x]))
+    return np.concatenate((P[:, :1], spec.neg_v(acc), lead[:, None]), axis=1)
+
+
+def _line_surviving_degrees(f: TernaryForm, levels) -> list[int]:
+    """The factor degrees in `levels` that no line restriction excludes; d <= Q.
+
+    A line is used when f|_L is squarefree: g(t) = f(A + tB) squarefree of
+    degree d, or of degree d - 1, where B is a simple root and adds one
+    linear factor.  Lines are walked in a fixed seeded order.
+    """
+    spec, d = f.field, f.degree
+    survivors = set(levels)
+    order = np.random.default_rng(0).permutation(line_count(spec.order))
+    for lo in range(0, len(order), _LINE_BATCH):
+        if not survivors:
+            break
+        for row in _restrictions(f, order[lo : lo + _LINE_BATCH]):
+            g = UniPoly(spec, row.tolist())
+            if g.degree < d - 1 or not is_squarefree(g):
+                continue
+            degrees = factor_degrees(g)
+            if g.degree < d:
+                degrees.append(1)
+            sums = 1  # bit k set: k is a sum of some of the degrees
+            for e in degrees:
+                sums |= sums << e
+            survivors = {k for k in survivors if sums >> k & 1}
+            if not survivors:
+                break
+    return sorted(survivors)
 
 
 def _coeff_batches(Q: int, M: int, chunk: int = 1 << 15):
@@ -508,27 +650,40 @@ def _search_degree_k_factor(f: TernaryForm, k: int):
 def reducibility_search(
     f: TernaryForm, budget: int = DEFAULT_FACTOR_BUDGET
 ) -> ReducibilityResult:
-    """Complete factor enumeration up to degree d/2, subject to a budget.
+    """Certify that f has no factor of degree 1 .. d/2, or return a factor.
 
-    A degree-k level is enumerated when Q^(M_k - 1) <= budget, where M_k is
-    the number of degree-k monomials; linear factors are always enumerated.
+    Linear factors are the lines on which f vanishes: for d <= Q such a
+    line divides f, for d > Q each is confirmed with `divides`.  For
+    d <= Q, line restrictions exclude factor degrees 2 .. d/2; a level
+    they leave open is enumerated when Q^(M_k - 1) <= budget, where M_k
+    is the number of degree-k monomials, and is reported in `skipped`
+    otherwise.
     """
     if f.degree < 2:
         raise ValueError("factor search needs degree >= 2")
-    Q = f.field.order
-    scanned = 0
-    skipped = False
-    for k in range(1, f.degree // 2 + 1):
+    spec, d = f.field, f.degree
+    Q = spec.order
+    row = [tuple(f.terms.values())]
+    scanned = line_count(Q)
+    for i in np.nonzero(vanishing_lines(spec, tuple(f.terms), row)[0])[0]:
+        g = line_form(spec, int(i))
+        if d <= Q or divides(g, f):
+            return ReducibilityResult("factor", g, scanned)
+    levels = range(2, d // 2 + 1)
+    if d <= Q:
+        levels = _line_surviving_degrees(f, levels)
+    skipped = []
+    for k in levels:
         M = (k + 1) * (k + 2) // 2
-        if k > 1 and Q ** (M - 1) > budget:
-            skipped = True
+        if Q ** (M - 1) > budget:
+            skipped.append(k)
             continue
         g, n = _search_degree_k_factor(f, k)
         scanned += n
         if g is not None:
             return ReducibilityResult("factor", g, scanned)
     if skipped:
-        return ReducibilityResult("budget-exceeded", None, scanned)
+        return ReducibilityResult("budget-exceeded", None, scanned, tuple(skipped))
     return ReducibilityResult("irreducible", None, scanned)
 
 
@@ -546,7 +701,11 @@ def absolute_irreducibility_status(
     if res.status == "factor":
         return IrreducibilityStatus("reducible", res.factor)
     if res.status == "budget-exceeded":
-        return IrreducibilityStatus("undetermined", reason="factor budget exceeded")
+        label = "degree" if len(res.skipped) == 1 else "degrees"
+        degrees = ", ".join(map(str, res.skipped))
+        return IrreducibilityStatus(
+            "undetermined", reason=f"factor budget exceeded at {label} {degrees}"
+        )
     if has_smooth_rational_point(f):
         return IrreducibilityStatus("absolutely-irreducible")
     return IrreducibilityStatus("undetermined", reason="no smooth rational point found")

@@ -5,12 +5,14 @@ irreducible degree-d curve meets the Hermitian curve in d(q+1) distinct
 rational points.  Every projective equivalence class of ternary forms is
 scanned, counting zeros among the q^3+1 Hermitian points only (that count
 is the intersection number), and each achiever that shares no component
-with the Hermitian model is classified by a complete factor search.
+with the Hermitian model is classified: when d <= Q, the achievers of a
+scan batch that vanish on a whole line are reducible by one line test
+(`vanishing_lines`), and the rest go through the factor certificate
+`reducibility_search`.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -24,6 +26,7 @@ from .plane import (
     monomials,
     point_coords,
     reducibility_search,
+    vanishing_lines,
     zero_mask,
 )
 
@@ -45,7 +48,6 @@ class SearchReport:
     achievers: list = dc_field(default_factory=list)
     irreducible_achievers: list = dc_field(default_factory=list)
     reducible_achievers: list = dc_field(default_factory=list)
-    wallclock: float = 0.0
 
     def to_dict(self):
         def ser(forms):
@@ -61,7 +63,6 @@ class SearchReport:
             "achievers": ser(self.achievers),
             "irreducible_achievers": ser(self.irreducible_achievers),
             "reducible_achievers": ser(self.reducible_achievers),
-            "wallclock": self.wallclock,
         }
 
 
@@ -92,7 +93,6 @@ def _run_search(q, d, model, budget, limit):
         )
     cap = total if limit is None else min(total, budget)
     target = d * (q + 1)
-    t0 = time.monotonic()
     report = SearchReport(q, d, model, target, 0, False)
     for batch in _coeff_batches(Q, M):
         if report.total_forms_scanned >= cap:
@@ -102,23 +102,26 @@ def _run_search(q, d, model, budget, limit):
         values = form_values(spec, batch.T[:, :, None], mons, *points)
         hits = np.count_nonzero(values == 0, axis=1)
         report.total_forms_scanned += batch.shape[0]
-        for idx in np.nonzero(hits == target)[0]:
+        rows = np.nonzero(hits == target)[0]
+        # a line through d + 1 zeros of a form divides it
+        lined = np.zeros(len(rows), dtype=bool)
+        if d <= Q and len(rows):
+            lined = vanishing_lines(spec, mons, batch[rows]).any(axis=1)
+        for idx, has_line in zip(rows, lined):
             form = TernaryForm(
                 spec, d, {m: int(c) for m, c in zip(mons, batch[idx]) if c}
             )
             if _shares_hermitian_component(form, h):
                 continue
             report.achievers.append(form)
-            res = reducibility_search(form, budget=budget)
-            if res.status == "irreducible":
+            status = "factor" if has_line else reducibility_search(form, budget=budget).status
+            if status == "irreducible":
                 report.irreducible_achievers.append(form)
                 if limit is not None and len(report.irreducible_achievers) >= limit:
-                    report.wallclock = time.monotonic() - t0
                     return report
-            elif res.status == "factor":
+            elif status == "factor":
                 report.reducible_achievers.append(form)
     report.complete = report.total_forms_scanned >= total
-    report.wallclock = time.monotonic() - t0
     return report
 
 

@@ -172,3 +172,9 @@ def test_build_covers_all_families():
             q = 5
         desc, f = build(family, q, **kwargs)
         assert f.degree == desc.d
+
+
+def test_degree_q_curve_is_absolutely_irreducible():
+    for q in (4, 5, 7, 9):
+        f = degree_q_curve(q)
+        assert absolute_irreducibility_status(f).status == "absolutely-irreducible"
