@@ -2,7 +2,9 @@
 
 Every command is deterministic: the same arguments always produce
 byte-identical output.  Exit codes: 0 success, 1 a verification that
-was asked for did not hold, 2 usage error or invalid parameters.
+was asked for did not hold, 2 usage error or invalid parameters
+(including work refused as too large, such as a full-plane evaluation
+beyond q = 64) or out of memory, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from sympy import factorint
 
 from .constructions import ConstructionError, FAMILIES, build
 from .field import FieldError
-from .plane import hermitian_model, intersection, points_on, zero_mask
+from .plane import hermitian_model, hermitian_points, intersection, points_on
 from .search import exhaustive_negative_search
 from .serialize import (
     curve_to_dict,
@@ -79,14 +81,14 @@ def _point_str(P):
 # ---------------------------------------------------------------------------
 
 def cmd_hermitian_points(args):
-    h = hermitian_model(args.q, args.model)
     if args.emit_points:
         recs = [
             {"q": args.q, "model": args.model, "point": _point_str(P)}
-            for P in points_on(h)
+            for P in points_on(hermitian_model(args.q, args.model))
         ]
     else:
-        recs = [{"q": args.q, "model": args.model, "points": int(zero_mask(h).sum())}]
+        n = len(hermitian_points(args.q, args.model))
+        recs = [{"q": args.q, "model": args.model, "points": n}]
     _emit(recs, args.format)
     return 0
 
@@ -305,6 +307,13 @@ def main(argv=None):
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"error: out of memory{detail}", file=sys.stderr)
+        return 2
+    except KeyboardInterrupt:
+        print("error: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -13,6 +13,17 @@ maps enumeration indices back to coordinates, so point subsets (the
 Hermitian points, the points off a curve) are evaluated without building
 `ProjPoint`s.
 
+The Hermitian points are not found on the grid but by solving the chart
+z = 1 (`hermitian_points`): neither model has a term with both X and Y,
+so h(x, y, 1) = a(x) + b(y), two kernel calls over F_Q, and the zeros are
+the pairs with b(y) = -a(x), read off a stable sort of b.  That is O(q^3)
+work against the grid's O(q^4).  Intersections with a Hermitian model,
+`points_on` of one, the `hermitian-points` count and the negative search
+all evaluate the other form only on these q^3+1 points.  The full plane
+(`evaluate_all`, `zero_mask`) serves every other form and is the
+independent count the verification matrix checks the point set against;
+it is refused beyond F_{64^2}.
+
 The factor certificate works on the Q^2+Q+1 lines of the plane, each
 parametrized as {A + tB : t in F_Q} and B (`line_points`).  A restriction
 to a line factors the way the form does: if f = gh then f|_L = g|_L h|_L.
@@ -39,10 +50,16 @@ DEFAULT_FACTOR_BUDGET = 10**7
 
 _PREFILTER_THRESHOLD = 50_000
 
+# largest field whose plane `evaluate_all` builds: F_{64^2}, 16.8 M points
+_MAX_PLANE_ORDER = 4096
+
 # elements of the largest (forms x lines x points) array of a line test
 _LINE_CHUNK = 1 << 16
 # restrictions interpolated per kernel call while walking the lines
 _LINE_BATCH = 32
+# usable lines in a row that remove no surviving degree before the walk
+# stops; the matrix's certificates close after at most 14 such lines
+_LINE_STALL = 256
 
 
 def monomials(d: int) -> list[tuple[int, int, int]]:
@@ -200,17 +217,6 @@ class ProjPoint:
         return f"[{x.coeffs()}:{y.coeffs()}:{z.coeffs()}]"
 
 
-def enumerate_proj_points(spec: FieldSpec):
-    """All Q^2+Q+1 points: chart Z=1, then (x:1:0), then [1:0:0]."""
-    one, zero = spec.one(), spec.zero()
-    for xv in range(spec.order):
-        for yv in range(spec.order):
-            yield ProjPoint(FieldElem(spec, xv), FieldElem(spec, yv), one)
-    for xv in range(spec.order):
-        yield ProjPoint(FieldElem(spec, xv), one, zero)
-    yield ProjPoint(one, zero, zero)
-
-
 def point_at_index(spec: FieldSpec, idx: int) -> ProjPoint:
     """The idx-th point of the canonical enumeration."""
     Q = spec.order
@@ -221,18 +227,6 @@ def point_at_index(spec: FieldSpec, idx: int) -> ProjPoint:
     if idx < Q:
         return ProjPoint(FieldElem(spec, idx), one, zero)
     return ProjPoint(one, zero, zero)
-
-
-def evaluate(f: TernaryForm, P: ProjPoint) -> FieldElem:
-    """Value of f at the normalized representative of P."""
-    if P.spec is not f.field:
-        raise FieldError("point and form over different fields")
-    K = f.field
-    xv, yv, zv = (c.val for c in P.coords)
-    acc = 0
-    for (i, j, k), c in f.terms.items():
-        acc = K.add(acc, K.mul(c, K.mul(K.pow(xv, i), K.mul(K.pow(yv, j), K.pow(zv, k)))))
-    return FieldElem(K, acc)
 
 
 def point_coords(Q: int, idx):
@@ -270,8 +264,21 @@ def form_values(spec: FieldSpec, coeffs, monos, X, Y, Z) -> np.ndarray:
 
 
 def evaluate_all(f: TernaryForm) -> np.ndarray:
-    """Values of f at every point of P^2, in canonical enumeration order."""
-    xs = np.arange(f.field.order, dtype=np.int64)
+    """Values of f at every point of P^2, in canonical enumeration order.
+
+    Refused with a ValueError, before anything is allocated, over fields
+    larger than F_4096 (q = 64): the Q x Q grid over F_{128^2} alone is
+    2 GiB per array.
+    """
+    Q = f.field.order
+    if Q > _MAX_PLANE_ORDER:
+        q = isqrt(Q)
+        name = f"F_{Q} (q = {q})" if q * q == Q else f"F_{Q}"
+        raise ValueError(
+            f"refusing to evaluate a form at all {Q * Q + Q + 1} points of the "
+            f"plane over {name}: full-plane evaluation stops at F_{_MAX_PLANE_ORDER} (q = 64)"
+        )
+    xs = np.arange(Q, dtype=np.int64)
     monos, coeffs = tuple(f.terms), tuple(f.terms.values())
     charts = ((xs[:, None], xs[None, :], 1), (xs, 1, 0), (1, 0, 0))
     return np.concatenate(
@@ -283,10 +290,21 @@ def zero_mask(f: TernaryForm) -> np.ndarray:
     return evaluate_all(f) == 0
 
 
+def _rational_points(f: TernaryForm) -> np.ndarray:
+    """Enumeration indices of the rational points of f = 0, ascending.
+
+    A Hermitian model reads its cached point set; any other form is
+    evaluated on the whole plane.
+    """
+    variant = _hermitian_variant(f)
+    if variant is not None:
+        return hermitian_points(isqrt(f.field.order), variant)
+    return np.flatnonzero(zero_mask(f))
+
+
 def points_on(f: TernaryForm) -> list[ProjPoint]:
     """All F_{q^2}-rational points of the curve f = 0."""
-    idxs = np.nonzero(zero_mask(f))[0]
-    return [point_at_index(f.field, int(i)) for i in idxs]
+    return [point_at_index(f.field, int(i)) for i in _rational_points(f)]
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +330,44 @@ def hermitian_model(q: int, variant: str = "H1") -> TernaryForm:
     return _hermitian_cached(q, variant)
 
 
-def _is_hermitian(f: TernaryForm) -> bool:
+def _hermitian_variant(f: TernaryForm) -> str | None:
+    """The name ("H1" or "H2") of the Hermitian model f is up to a scalar, or None."""
     Q = f.field.order
     q = isqrt(Q)
     if q * q != Q or f.degree != q + 1:
-        return False
-    return f == hermitian_model(q, "H1") or f == hermitian_model(q, "H2")
+        return None
+    return next((v for v in ("H1", "H2") if f == hermitian_model(q, v)), None)
+
+
+@lru_cache(maxsize=None)
+def hermitian_points(q: int, variant: str = "H1") -> np.ndarray:
+    """Enumeration indices of the q^3+1 rational points of a Hermitian model.
+
+    Ascending and read-only; the same set as ``np.flatnonzero(zero_mask(h))``
+    in O(q^3) work instead of O(q^4), so it also serves q > 64.
+    """
+    h = hermitian_model(q, variant)
+    spec, Q = h.field, h.field.order
+    coeffs, monos = tuple(h.terms.values()), tuple(h.terms)
+    t = np.arange(Q, dtype=np.int64)
+    # no term has both X and Y, so h(x, y, 1) = a(x) + b(y) with
+    # a(x) = h(x, 0, 1) and b(y) = h(0, y, 1) - h(0, 0, 1)
+    a = form_values(spec, coeffs, monos, t, 0, 1)
+    b = spec.add_v(form_values(spec, coeffs, monos, 0, t, 1), spec.neg_v(a[:1]))
+    # group the y by b(y), ascending within a group; row x takes the
+    # group of value -a(x), so x * Q + y comes out in enumeration order
+    ys = np.argsort(b, kind="stable")
+    size = np.bincount(b, minlength=Q)
+    want = spec.neg_v(a)
+    n = size[want]
+    first = np.cumsum(size) - size
+    pos = np.arange(n.sum()) + np.repeat(first[want] - (np.cumsum(n) - n), n)
+    affine = np.repeat(t * Q, n) + ys[pos]
+    rest = Q * Q + np.arange(Q + 1)  # (x, 1, 0) and (1, 0, 0)
+    rest = rest[form_values(spec, coeffs, monos, *point_coords(Q, rest)) == 0]
+    out = np.concatenate((affine, rest))
+    out.flags.writeable = False
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -365,25 +415,26 @@ def intersection(
         raise FieldError("forms over different fields")
     spec = f.field
     q = isqrt(spec.order)
-    if _is_hermitian(f) and not _is_hermitian(g):
-        d = g.degree
-    elif _is_hermitian(g) and not _is_hermitian(f):
-        d = f.degree
-    else:
-        d = max(f.degree, g.degree)
+    herm_f, herm_g = _hermitian_variant(f) is not None, _hermitian_variant(g) is not None
+    if herm_g and not herm_f:
+        f, g = g, f  # g is evaluated only at the points of f
+    d = g.degree if herm_f != herm_g else max(f.degree, g.degree)
+    idx = _rational_points(f)
     if f == g:
-        mask = zero_mask(f)
-        count = int(mask.sum())
+        count = len(idx)
         report = IntersectionReport(
             q, d, count, d * (q + 1), False, descriptor or "degenerate: identical curves",
             degenerate=True,
         )
     else:
-        mask = zero_mask(f) & zero_mask(g)
-        count = int(mask.sum())
+        values = form_values(
+            spec, tuple(g.terms.values()), tuple(g.terms), *point_coords(spec.order, idx)
+        )
+        idx = idx[values == 0]
+        count = len(idx)
         report = IntersectionReport(q, d, count, d * (q + 1), count == d * (q + 1), descriptor)
     if with_points:
-        report.points = [point_at_index(spec, int(i)) for i in np.nonzero(mask)[0]]
+        report.points = [point_at_index(spec, int(i)) for i in idx]
     return report
 
 
@@ -406,16 +457,6 @@ def partials(f: TernaryForm) -> tuple[TernaryForm, TernaryForm, TernaryForm]:
                 terms[tuple(m)] = v
         out.append(TernaryForm(K, max(f.degree - 1, 0), terms))
     return tuple(out)
-
-
-def is_singular_point(f: TernaryForm, P: ProjPoint) -> bool:
-    """All three partials vanish at P; if char | degree, also require f(P)=0."""
-    fx, fy, fz = partials(f)
-    if evaluate(fx, P) or evaluate(fy, P) or evaluate(fz, P):
-        return False
-    if f.degree % f.field.p == 0 and evaluate(f, P):
-        return False
-    return True
 
 
 def has_smooth_rational_point(f: TernaryForm) -> bool:
@@ -572,13 +613,17 @@ def _line_surviving_degrees(f: TernaryForm, levels) -> list[int]:
 
     A line is used when f|_L is squarefree: g(t) = f(A + tB) squarefree of
     degree d, or of degree d - 1, where B is a simple root and adds one
-    linear factor.  Lines are walked in a fixed seeded order.
+    linear factor.  Lines are walked in a fixed seeded order, until no
+    degree survives or _LINE_STALL used lines in a row removed none; the
+    degrees still open then go to the enumeration, so stopping early
+    never certifies anything.
     """
     spec, d = f.field, f.degree
     survivors = set(levels)
+    stall = 0
     order = np.random.default_rng(0).permutation(line_count(spec.order))
     for lo in range(0, len(order), _LINE_BATCH):
-        if not survivors:
+        if not survivors or stall >= _LINE_STALL:
             break
         for row in _restrictions(f, order[lo : lo + _LINE_BATCH]):
             g = UniPoly(spec, row.tolist())
@@ -590,8 +635,10 @@ def _line_surviving_degrees(f: TernaryForm, levels) -> list[int]:
             sums = 1  # bit k set: k is a sum of some of the degrees
             for e in degrees:
                 sums |= sums << e
-            survivors = {k for k in survivors if sums >> k & 1}
-            if not survivors:
+            kept = {k for k in survivors if sums >> k & 1}
+            stall = stall + 1 if kept == survivors else 0
+            survivors = kept
+            if not survivors or stall >= _LINE_STALL:
                 break
     return sorted(survivors)
 

@@ -23,11 +23,11 @@ from .plane import (
     divides,
     form_values,
     hermitian_model,
+    hermitian_points,
     monomials,
     point_coords,
     reducibility_search,
     vanishing_lines,
-    zero_mask,
 )
 
 SCAN_BUDGET = 10**7
@@ -83,7 +83,7 @@ def _run_search(q, d, model, budget, limit):
     h = hermitian_model(q, model)
     spec = h.field
     Q = spec.order
-    points = point_coords(Q, np.nonzero(zero_mask(h))[0])
+    points = point_coords(Q, hermitian_points(q, model))
     mons = monomials(d)
     M = len(mons)
     total = projective_form_count(Q, M)

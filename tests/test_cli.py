@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from hermplane import cli
 from hermplane.cli import main
+from hermplane.plane import hermitian_model, zero_mask
 
 
 def run(capsys, *argv):
@@ -25,6 +27,39 @@ def test_hermitian_points_emit(capsys):
     lines = [json.loads(l) for l in out.strip().splitlines()]
     assert len(lines) == 9
     assert all("point" in r for r in lines)
+
+
+@pytest.mark.parametrize("model", ["H1", "H2"])
+def test_hermitian_points_beyond_the_full_plane_limit(capsys, model):
+    code, out, _ = run(
+        capsys, "hermitian-points", "--q", "128", "--model", model, "--format", "json"
+    )
+    assert code == 0
+    assert json.loads(out)["points"] == 128**3 + 1
+
+
+def _raising(exc):
+    def fn(args):
+        raise exc
+
+    return fn
+
+
+@pytest.mark.parametrize(
+    "fn, code, message",
+    [
+        (_raising(MemoryError("Unable to allocate 2.00 GiB")), 2, "error: out of memory"),
+        (_raising(KeyboardInterrupt()), 130, "error: interrupted"),
+        (lambda args: zero_mask(hermitian_model(128)), 2, "full-plane evaluation stops"),
+    ],
+    ids=["memory", "interrupt", "full-plane"],
+)
+def test_exit_codes_for_exhaustion(capsys, monkeypatch, fn, code, message):
+    monkeypatch.setattr(cli, "cmd_hermitian_points", fn)
+    got, out, err = run(capsys, "hermitian-points", "--q", "3")
+    assert got == code
+    assert out == ""
+    assert message in err
 
 
 def test_verify_success_and_failure_exit_codes(capsys):

@@ -4,11 +4,14 @@ The oracle is the enumeration of candidate factors, degree by degree, that
 the certificate falls back to: `_search_degree_k_factor` called directly.
 """
 
+import time
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from hermplane.constructions import secant_fan_curve, sporadic_cubic
 from hermplane.field import FieldElem, field_of_order
+from hermplane import plane
 from hermplane.plane import (
     ProjPoint,
     TernaryForm,
@@ -178,3 +181,25 @@ def test_fan_times_cubic_is_never_certified():
     status = absolute_irreducibility_status(f)
     assert status.status == "undetermined"
     assert status.reason == "factor budget exceeded at degree 3"
+
+
+def test_line_walk_stops_when_no_line_removes_a_degree(monkeypatch):
+    # over F_81 every line leaves the conic factors' degree 2 open; the
+    # walk gives up after _LINE_STALL used lines instead of all 6643
+    calls = []
+    factor_degrees = plane.factor_degrees
+
+    def counted(g):
+        calls.append(g)
+        return factor_degrees(g)
+
+    monkeypatch.setattr(plane, "factor_degrees", counted)
+    spec = field_of_order(81)
+    x, y, z = _xyz(spec)
+    f = (x * x + y * z) * (x * y + z * z)
+    t0 = time.perf_counter()
+    res = reducibility_search(f)
+    assert time.perf_counter() - t0 < 1.0
+    assert res.status == "budget-exceeded"
+    assert res.skipped == (2,)
+    assert len(calls) == plane._LINE_STALL

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -8,21 +10,54 @@ from hermplane.plane import (
     TernaryForm,
     absolute_irreducibility_status,
     divides,
-    enumerate_proj_points,
-    evaluate,
     evaluate_all,
     form_values,
     has_smooth_rational_point,
     hermitian_model,
+    hermitian_points,
     intersection,
-    is_singular_point,
     monomials,
     partials,
     point_at_index,
     point_coords,
     points_on,
     reducibility_search,
+    zero_mask,
 )
+
+
+# scalar references for the vectorized kernel: point enumeration,
+# evaluation at a point and the singularity test, one point at a time
+
+def enumerate_proj_points(spec):
+    """All Q^2+Q+1 points: chart Z=1, then (x:1:0), then [1:0:0]."""
+    one, zero = spec.one(), spec.zero()
+    for xv in range(spec.order):
+        for yv in range(spec.order):
+            yield ProjPoint(FieldElem(spec, xv), FieldElem(spec, yv), one)
+    for xv in range(spec.order):
+        yield ProjPoint(FieldElem(spec, xv), one, zero)
+    yield ProjPoint(one, zero, zero)
+
+
+def evaluate(f, P):
+    """Value of f at the normalized representative of P."""
+    K = f.field
+    xv, yv, zv = (c.val for c in P.coords)
+    acc = 0
+    for (i, j, k), c in f.terms.items():
+        acc = K.add(acc, K.mul(c, K.mul(K.pow(xv, i), K.mul(K.pow(yv, j), K.pow(zv, k)))))
+    return FieldElem(K, acc)
+
+
+def is_singular_point(f, P):
+    """All three partials vanish at P; if char | degree, also require f(P)=0."""
+    fx, fy, fz = partials(f)
+    if evaluate(fx, P) or evaluate(fy, P) or evaluate(fz, P):
+        return False
+    if f.degree % f.field.p == 0 and evaluate(f, P):
+        return False
+    return True
 
 
 def test_monomial_count():
@@ -142,6 +177,59 @@ def test_hermitian_models_have_q_cubed_plus_one_points():
     for q in (2, 3, 4, 5):
         for model in ("H1", "H2"):
             assert len(points_on(hermitian_model(q, model))) == q**3 + 1
+
+
+@pytest.mark.parametrize("model", ["H1", "H2"])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
+def test_hermitian_points_match_full_plane(q, model):
+    idx = hermitian_points(q, model)
+    want = np.nonzero(zero_mask(hermitian_model(q, model)))[0]
+    assert idx.dtype == want.dtype
+    assert idx.tolist() == want.tolist()
+    assert not idx.flags.writeable
+
+
+@st.composite
+def _hermitian_and_form(draw):
+    q = draw(st.sampled_from((2, 3, 4, 5)))
+    h = hermitian_model(q, draw(st.sampled_from(("H1", "H2"))))
+    kind = draw(st.sampled_from(("random", "random", "same", "scaled", "other model")))
+    if kind == "same":
+        return h, h
+    if kind == "scaled":
+        return h, h.scale(FieldElem(h.field, h.field.generator))
+    if kind == "other model":
+        return h, hermitian_model(q, "H2" if h == hermitian_model(q, "H1") else "H1")
+    d = draw(st.integers(0, 4))
+    coeff = st.one_of(st.just(0), st.integers(0, q * q - 1))
+    return h, TernaryForm(h.field, d, {m: draw(coeff) for m in monomials(d)})
+
+
+@given(_hermitian_and_form(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_intersection_on_hermitian_points_matches_full_plane(case, swap):
+    h, f = case
+    want = np.nonzero(zero_mask(h) & zero_mask(f))[0].tolist()
+    rep = intersection(f, h, with_points=True) if swap else intersection(h, f, with_points=True)
+    assert rep.count == len(want)
+    assert [P.key() for P in rep.points] == [
+        P.key() for P in (point_at_index(h.field, i) for i in want)
+    ]
+    assert rep.degenerate == (f == h)
+    if f != h and f.degree != h.degree:
+        assert rep.d == f.degree
+
+
+def test_full_plane_refused_beyond_q64():
+    h = hermitian_model(128, "H1")  # builds F_{128^2} outside the measurement
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"q = 128"):
+            zero_mask(h)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
 
 
 def test_hermitian_is_nonsingular():
