@@ -4,7 +4,8 @@ Every command is deterministic: the same arguments always produce
 byte-identical output.  Exit codes: 0 success, 1 a verification that
 was asked for did not hold, 2 usage error or invalid parameters
 (including work refused as too large, such as a full-plane evaluation
-beyond q = 64) or out of memory, 130 interrupted (Ctrl-C).
+beyond q = 64 or a negative search over its scan budget) or out of
+memory, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from sympy import factorint
 from .constructions import ConstructionError, FAMILIES, build
 from .field import FieldError
 from .plane import hermitian_model, hermitian_points, intersection, points_on
-from .search import exhaustive_negative_search
+from .search import SearchBudgetError, exhaustive_negative_search
 from .serialize import (
     curve_to_dict,
     format_element,
@@ -301,7 +302,7 @@ def main(argv=None):
         if q is not None and (q < 2 or len(factorint(q)) != 1):
             raise ValueError(f"--q must be a prime power >= 2 (got {q})")
         return args.fn(args)
-    except (ConstructionError, FieldError, ValueError) as exc:
+    except (ConstructionError, FieldError, ValueError, SearchBudgetError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

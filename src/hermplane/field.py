@@ -12,6 +12,9 @@ The tables come from F_p-linear algebra on digit vectors: multiplication by
 c is an m x m matrix over F_p (rows built from the companion matrix of the
 modulus), so the powers of c fill in log2(q) matrix doublings, and the first
 c in encoding order whose powers reach 1 only at q-1 is the generator.
+Addition is digit-wise in the base-p encoding, so the q x q add table of
+an odd-characteristic field is a Kronecker-style composite of the p x p
+table of F_p: each further digit is one broadcast of the table so far.
 Vectorized (numpy) variants of all operations are provided for the hot
 enumeration loops elsewhere in the package.
 """
@@ -97,7 +100,9 @@ class FieldSpec:
     """Immutable description of F_{p^m} plus arithmetic tables.
 
     Use :func:`make_field`; constructing directly bypasses the cache that
-    guarantees a single shared instance per (p, m).
+    guarantees a single shared instance per (p, m).  Sweeps that visit
+    each field once (``splitting.survey_split``) construct directly, so
+    their tables are freed as they go.
     """
 
     def __init__(self, p: int, m: int):
@@ -150,9 +155,14 @@ class FieldSpec:
         neg %= p
         self._neg = neg @ pw
         if p > 2 and m > 1 and self.order <= _ADD_TABLE_LIMIT:
-            add = np.zeros((self.order, self.order), dtype=np.int64)
-            for i in range(m):  # digit by digit: no (q, q, m) temporary
-                add += (dig[:, i, None] + dig[:, i]) % p * pw[i]
+            # addition is digit-wise: with a = a0 + p*a', the table on k+1
+            # digits is (a0 + b0) mod p + p * add_k[a', b'], one broadcast
+            # per digit from the p x p table; only the last pass is q x q
+            digit = np.arange(p, dtype=np.int64)
+            add = one = np.add.outer(digit, digit) % p
+            for _ in range(m - 1):
+                n = len(add) * p
+                add = (one[None, :, None, :] + p * add[:, None, :, None]).reshape(n, n)
             self._add_tab = add
         else:
             self._add_tab = None

@@ -62,14 +62,18 @@ def fiber_images(spec: FieldSpec, d: int, t: np.ndarray) -> np.ndarray:
     return spec.neg_v(spec.mul_v(spec.add_v(t, 1), spec.pow_v(t, -d)))
 
 
-def count_splitting_A(q: int, d: int) -> SplitCountReport:
-    """N_d(q) with the witnesses A in F_q^* for which A t^d + t + 1 splits."""
+def _splitting_witnesses(spec: FieldSpec, d: int) -> list:
+    """The A in F_q^* for which A t^d + t + 1 splits, ascending."""
     if d < 2:
         raise ValueError("need d >= 2")
-    spec = make_field(*_pq(q))
-    images = fiber_images(spec, d, np.arange(1, q, dtype=np.int64))
+    images = fiber_images(spec, d, np.arange(1, spec.order, dtype=np.int64))
     # A = 0 has the single preimage t = -1, so it is never a witness
-    witnesses = np.nonzero(np.bincount(images) == d)[0].tolist()
+    return np.nonzero(np.bincount(images) == d)[0].tolist()
+
+
+def count_splitting_A(q: int, d: int) -> SplitCountReport:
+    """N_d(q) with the witnesses A in F_q^* for which A t^d + t + 1 splits."""
+    witnesses = _splitting_witnesses(make_field(*_pq(q)), d)
     closed = None
     if d == 3:
         closed = n3_closed_form(q)
@@ -241,7 +245,9 @@ def survey_split(d: int, q_max: int, gcd_filter: int | None = None):
     """[(q, N_d(q))] over prime powers q <= q_max.
 
     With gcd_filter = n, only q coprime to n are swept (the regime of
-    the genus/threshold formulas uses n = d(d-1)).
+    the genus/threshold formulas uses n = d(d-1)).  Each field is built
+    uncached and dropped after its count, so the sweep holds one field's
+    tables at a time.
     """
     if q_max > 4096:
         raise ValueError("survey capped at q_max <= 4096")
@@ -249,5 +255,5 @@ def survey_split(d: int, q_max: int, gcd_filter: int | None = None):
     for q in prime_powers(2, q_max):
         if gcd_filter is not None and gcd(q, gcd_filter) != 1:
             continue
-        rows.append((q, count_splitting_A(q, d).count))
+        rows.append((q, len(_splitting_witnesses(FieldSpec(*_pq(q)), d))))
     return rows

@@ -62,6 +62,15 @@ def test_exit_codes_for_exhaustion(capsys, monkeypatch, fn, code, message):
     assert message in err
 
 
+def test_negative_search_over_budget_is_usage_error(capsys):
+    code, out, err = run(capsys, "negative-search", "--q", "4", "--d", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert "exceed the budget" in err
+    assert "Traceback" not in err
+
+
 def test_verify_success_and_failure_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "--family", "sporadic-cubic", "--q", "5")
     assert code == 0

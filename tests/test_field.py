@@ -8,6 +8,7 @@ from sympy.polys.galoistools import gf_add, gf_irreducible_p, gf_mul, gf_rem, gf
 from hermplane.field import (
     FieldElem,
     FieldError,
+    FieldSpec,
     field_of_order,
     frobenius,
     make_field,
@@ -232,6 +233,27 @@ def test_generator_and_orders_match_power_walk():
             assert spec.element_order(c) == walked[c - 1]
         for c in rng.integers(1, Q, 4).tolist():
             assert spec.element_order(c) == _gf_order(_gf(c, p), g, p)
+
+
+# every odd-characteristic extension field small enough for an add table
+ADD_TABLE_FIELDS = [
+    (p, m) for Q in _prime_powers(4096) for p, m in factorint(Q).items() if p > 2 and m > 1
+]
+
+
+@pytest.mark.parametrize("p, m", ADD_TABLE_FIELDS)
+def test_add_table_is_digitwise_sum(p, m):
+    spec = FieldSpec(p, m)  # uncached, so the table is freed after the test
+    Q = spec.order
+    digits = np.array([spec.to_coeffs(a) for a in range(Q)], dtype=np.int64)
+    want = np.zeros((Q, Q), dtype=np.int64)
+    for i in range(m):
+        want += (digits[:, i, None] + digits[:, i]) % p * p**i
+    assert spec._add_tab.dtype == np.int64
+    assert np.array_equal(spec._add_tab, want)
+    a = np.arange(Q, dtype=np.int64)
+    assert np.array_equal(spec._add_tab[0], a)
+    assert not spec.add_v(a, spec.neg_v(a)).any()
 
 
 def test_exp_table_is_periodic():

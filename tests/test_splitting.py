@@ -1,7 +1,7 @@
 import pytest
 
 from hermplane.crosscheck import fiber_survey
-from hermplane.field import field_of_order
+from hermplane.field import field_of_order, make_field
 from hermplane.splitting import (
     count_splitting_A,
     exists_split_pe,
@@ -174,6 +174,17 @@ def test_survey_rows_and_filter():
     assert dict(rows)[13] == 1
     filt = survey_split(5, 30, gcd_filter=20)
     assert all(q % 2 and q % 5 for q, _ in filt)
+
+
+def test_survey_builds_uncached_fields():
+    for d in (3, 5):
+        before = make_field.cache_info()
+        rows = survey_split(d, 200)
+        # no lookup at all, hit or miss: every field was built outside the cache
+        assert make_field.cache_info() == before
+        assert [q for q, _ in rows] == prime_powers(2, 200)
+        for q, n in rows:
+            assert count_splitting_A(q, d).count == n, (q, d)
 
 
 def test_survey_cap():
