@@ -15,10 +15,8 @@ import csv
 import json
 import sys
 
-from sympy import factorint
-
-from .constructions import ConstructionError, FAMILIES, build
-from .field import FieldError
+from .constructions import ConstructionError, FAMILIES, build, measure
+from .field import FieldError, prime_power
 from .plane import hermitian_model, hermitian_points, intersection, points_on
 from .search import SearchBudgetError, exhaustive_negative_search
 from .serialize import (
@@ -125,9 +123,8 @@ def cmd_construct(args):
 
 
 def cmd_verify(args):
-    desc, form = build(args.family, args.q, d=args.d, alpha=args.alpha)
+    desc, _, rep = measure(args.family, args.q, d=args.d, alpha=args.alpha)
     target = desc.d * (args.q + 1)
-    rep = intersection(hermitian_model(args.q, desc.model), form)
     achieved = rep.count == target and not rep.degenerate
     _emit(
         [
@@ -299,13 +296,14 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         q = getattr(args, "q", None)
-        if q is not None and (q < 2 or len(factorint(q)) != 1):
-            raise ValueError(f"--q must be a prime power >= 2 (got {q})")
+        if q is not None:
+            try:
+                prime_power(q)
+            except FieldError:
+                raise ValueError(f"--q must be a prime power >= 2 (got {q})") from None
         return args.fn(args)
-    except (ConstructionError, FieldError, ValueError, SearchBudgetError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, SearchBudgetError, OSError) as exc:
+        # ConstructionError and FieldError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

@@ -5,7 +5,10 @@ Each family fixes its parameters by a deterministic canonical search
 (encoding order, first valid witness), records them in a descriptor, and
 is measured against the Hermitian model it was designed for: H1 for the
 secant-fan / full-point / degree-q / even-half families, H2 for the
-odd-half, monomial and sporadic ones.
+odd-half, monomial and sporadic ones.  `build` is the one entry point by
+family name, and `measure` pairs a built curve with its descriptor's model;
+`hermplane verify` and every family record of the verification matrix go
+through it.
 """
 
 from __future__ import annotations
@@ -61,10 +64,6 @@ def ambient(q: int) -> FieldSpec:
     return field_of_order(q * q)
 
 
-def _mono(spec, degree, terms):
-    return TernaryForm(spec, degree, terms)
-
-
 # ---------------------------------------------------------------------------
 # secant fan: q+1 <= d <= q^2 - q, against H1
 # ---------------------------------------------------------------------------
@@ -94,11 +93,11 @@ def secant_fan_curve(q: int, d: int):
             alpha = a
             break
     assert alpha is not None
-    lines = _mono(spec, 0, {(0, 0, 0): 1})
+    lines = TernaryForm(spec, 0, {(0, 0, 0): 1})
     for b in bs:
-        lines = lines * _mono(spec, 1, {(0, 1, 0): 1, (0, 0, 1): spec.neg(b)})
+        lines = lines * TernaryForm(spec, 1, {(0, 1, 0): 1, (0, 0, 1): spec.neg(b)})
     h1 = hermitian_model(q, "H1")
-    zpad = _mono(spec, d - q - 1, {(0, 0, d - q - 1): 1})
+    zpad = TernaryForm(spec, d - q - 1, {(0, 0, d - q - 1): 1})
     form = h1 * zpad - lines.scale(FieldElem(spec, alpha))
     desc = ConstructionDescriptor(
         "SecantFan",
@@ -120,12 +119,12 @@ def full_point_curve(q: int) -> TernaryForm:
         raise ConstructionError("need q >= 2")
     spec = ambient(q)
     d = q * q - q + 1
-    base = _mono(spec, q, {(0, q, 0): 1, (0, 1, q - 1): 1})  # Y^q + Y Z^{q-1}
-    inner = base ** (q - 1) - _mono(spec, q * q - q, {(0, 0, q * q - q): 1})
-    form = _mono(spec, 1, {(1, 0, 0): 1}) * inner
-    form = form + _mono(spec, d, {(q + 1, 0, q * q - 2 * q): 1})
-    form = form - _mono(spec, d, {(0, q, q * q - 2 * q + 1): 1})
-    form = form - _mono(spec, d, {(0, 1, q * q - q): 1})
+    base = TernaryForm(spec, q, {(0, q, 0): 1, (0, 1, q - 1): 1})  # Y^q + Y Z^{q-1}
+    inner = base ** (q - 1) - TernaryForm(spec, q * q - q, {(0, 0, q * q - q): 1})
+    form = TernaryForm(spec, 1, {(1, 0, 0): 1}) * inner
+    form = form + TernaryForm(spec, d, {(q + 1, 0, q * q - 2 * q): 1})
+    form = form - TernaryForm(spec, d, {(0, q, q * q - 2 * q + 1): 1})
+    form = form - TernaryForm(spec, d, {(0, 1, q * q - q): 1})
     return form
 
 
@@ -204,16 +203,16 @@ def even_half_curve(q: int):
             break
     assert alpha is not None
     h = q // 2
-    L = _mono(spec, 1, {(0, 1, 0): 1, (1, 0, 0): spec.pow(alpha, q)})
+    L = TernaryForm(spec, 1, {(0, 1, 0): 1, (1, 0, 0): spec.pow(alpha, q)})
     # S = L + L^2 + L^4 + ... + L^{q/2} satisfies S^2 + S = L^q + L, so
     # S + X Z^{q/2-1} is one of the two degree-q/2 factors of the split
     # Artin-Schreier curve
     acc = TernaryForm(spec, h, {})
     k = 1
     while k <= h:
-        acc = acc + (L**k) * _mono(spec, h - k, {(0, 0, h - k): 1})
+        acc = acc + (L**k) * TernaryForm(spec, h - k, {(0, 0, h - k): 1})
         k *= 2
-    form = acc - _mono(spec, h, {(1, 0, h - 1): 1})
+    form = acc - TernaryForm(spec, h, {(1, 0, h - 1): 1})
     desc = ConstructionDescriptor("EvenHalf", q, h, {"alpha": FieldElem(spec, alpha)}, "H1")
     return desc, form
 
@@ -428,3 +427,10 @@ def build(family: str, q: int, d: int | None = None, alpha=None):
         w, form = sporadic_quartic(q)
         return ConstructionDescriptor("SporadicQuartic", q, 4, {"omega": w}, "H2"), form
     raise ConstructionError(f"unknown family {family!r}")
+
+
+def measure(family: str, q: int, d: int | None = None, alpha=None):
+    """(descriptor, form, report): `build`, then the intersection of the
+    form with the Hermitian model the descriptor names."""
+    desc, form = build(family, q, d=d, alpha=alpha)
+    return desc, form, intersection(hermitian_model(q, desc.model), form)

@@ -313,9 +313,6 @@ class FieldSpec:
     def gen(self):
         return FieldElem(self, self.generator)
 
-    def elements(self):
-        return [FieldElem(self, v) for v in range(self.order)]
-
     def to_coeffs(self, a):
         return _decode(a, self.p, self.m)
 
@@ -329,13 +326,18 @@ def make_field(p: int, m: int) -> FieldSpec:
     return FieldSpec(p, m)
 
 
-def field_of_order(q: int) -> FieldSpec:
-    """The canonical field with exactly q elements."""
-    fac = factorint(q)
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, m) with q = p^m; a FieldError unless q is a prime power >= 2."""
+    fac = factorint(q) if q >= 2 else {}
     if len(fac) != 1:
         raise FieldError(f"{q} is not a prime power")
     [(p, m)] = fac.items()
-    return make_field(p, m)
+    return p, m
+
+
+def field_of_order(q: int) -> FieldSpec:
+    """The canonical field with exactly q elements."""
+    return make_field(*prime_power(q))
 
 
 # ---------------------------------------------------------------------------
@@ -473,10 +475,7 @@ def norm_preimages(s: FieldElem) -> list[FieldElem]:
 
 def subfield_elements(spec: FieldSpec, q: int) -> list[FieldElem]:
     """The q elements fixed by x -> x^q, in encoding order."""
-    fac = factorint(q)
-    if len(fac) != 1:
-        raise FieldError(f"{q} is not a prime power")
-    [(p, e)] = fac.items()
+    p, e = prime_power(q)
     if p != spec.p or spec.m % e != 0:
         raise FieldError(f"F_{q} is not a subfield of F_{spec.order}")
     out = [v for v in range(spec.order) if spec.pow(v, q) == v]

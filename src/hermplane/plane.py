@@ -1,8 +1,8 @@
 """Projective plane geometry over F_{q^2}.
 
 Homogeneous ternary forms, Hermitian models, point enumeration,
-intersection counting, singularity tests and a factor certificate used
-as an absolute-irreducibility certifier.
+intersection counts against a Hermitian model, singularity tests and a
+factor certificate used as an absolute-irreducibility certifier.
 
 Every evaluation of forms at points goes through one kernel,
 `form_values`: sum of c * X^i Y^j Z^k over broadcastable numpy arrays of
@@ -17,9 +17,10 @@ The Hermitian points are not found on the grid but by solving the chart
 z = 1 (`hermitian_points`): neither model has a term with both X and Y,
 so h(x, y, 1) = a(x) + b(y), two kernel calls over F_Q, and the zeros are
 the pairs with b(y) = -a(x), read off a stable sort of b.  That is O(q^3)
-work against the grid's O(q^4).  Intersections with a Hermitian model,
-`points_on` of one, the `hermitian-points` count and the negative search
-all evaluate the other form only on these q^3+1 points.  The full plane
+work against the grid's O(q^4).  `intersection` measures a form against
+a Hermitian model, its only first argument, by evaluating the form on
+these q^3+1 points; `points_on` of a model, the `hermitian-points` count
+and the negative search read the same set.  The full plane
 (`evaluate_all`, `zero_mask`) serves every other form and is the
 independent count the verification matrix checks the point set against;
 it is refused beyond F_{64^2}.
@@ -47,8 +48,6 @@ from .field import FieldElem, FieldError, FieldSpec
 from .unipoly import UniPoly, factor_degrees, is_squarefree
 
 DEFAULT_FACTOR_BUDGET = 10**7
-
-_PREFILTER_THRESHOLD = 50_000
 
 # largest field whose plane `evaluate_all` builds: F_{64^2}, 16.8 M points
 _MAX_PLANE_ORDER = 4096
@@ -100,9 +99,6 @@ class TernaryForm:
 
     def is_zero(self):
         return not self.terms
-
-    def coeff(self, ijk) -> FieldElem:
-        return FieldElem(self.field, self.terms.get(ijk, 0))
 
     def scale(self, c) -> "TernaryForm":
         K = self.field
@@ -379,60 +375,32 @@ class IntersectionReport:
     q: int
     d: int
     count: int
-    target: int
-    achieved: bool
-    curve_descriptor: str = ""
     points: list | None = None
     degenerate: bool = False
 
-    def to_dict(self):
-        out = {
-            "q": self.q,
-            "d": self.d,
-            "count": self.count,
-            "target": self.target,
-            "achieved": self.achieved,
-            "curve_descriptor": self.curve_descriptor,
-            "degenerate": self.degenerate,
-        }
-        if self.points is not None:
-            out["points"] = [[c.coeffs() for c in P.coords] for P in self.points]
-        return out
-
 
 def intersection(
-    f: TernaryForm,
-    g: TernaryForm,
-    with_points: bool = False,
-    descriptor: str = "",
+    h: TernaryForm, f: TernaryForm, with_points: bool = False
 ) -> IntersectionReport:
-    """Count the common F_{q^2}-rational points of f and g.
+    """Count the common F_{q^2}-rational points of a Hermitian model h and f.
 
-    The target d(q+1) uses the degree of the non-Hermitian member when one
-    of the two forms is a Hermitian model; f = g is flagged as degenerate.
+    f is evaluated only at the q^3+1 points of h (`hermitian_points`);
+    f = h up to a scalar is flagged as degenerate.  An h that is not a
+    Hermitian model is a ValueError.
     """
-    if f.field is not g.field:
+    if h.field is not f.field:
         raise FieldError("forms over different fields")
-    spec = f.field
+    variant = _hermitian_variant(h)
+    if variant is None:
+        raise ValueError("the first form of an intersection must be a Hermitian model")
+    spec = h.field
     q = isqrt(spec.order)
-    herm_f, herm_g = _hermitian_variant(f) is not None, _hermitian_variant(g) is not None
-    if herm_g and not herm_f:
-        f, g = g, f  # g is evaluated only at the points of f
-    d = g.degree if herm_f != herm_g else max(f.degree, g.degree)
-    idx = _rational_points(f)
-    if f == g:
-        count = len(idx)
-        report = IntersectionReport(
-            q, d, count, d * (q + 1), False, descriptor or "degenerate: identical curves",
-            degenerate=True,
-        )
-    else:
-        values = form_values(
-            spec, tuple(g.terms.values()), tuple(g.terms), *point_coords(spec.order, idx)
-        )
-        idx = idx[values == 0]
-        count = len(idx)
-        report = IntersectionReport(q, d, count, d * (q + 1), count == d * (q + 1), descriptor)
+    idx = hermitian_points(q, variant)
+    values = form_values(
+        spec, tuple(f.terms.values()), tuple(f.terms), *point_coords(spec.order, idx)
+    )
+    idx = idx[values == 0]
+    report = IntersectionReport(q, f.degree, len(idx), degenerate=(f == h))
     if with_points:
         report.points = [point_at_index(spec, int(i)) for i in idx]
     return report
@@ -669,24 +637,17 @@ def _search_degree_k_factor(f: TernaryForm, k: int):
     spec = f.field
     Q = spec.order
     monos = monomials(k)
-    M = len(monos)
-    total = (Q**M - 1) // (Q - 1)
     scanned = 0
-
-    use_prefilter = total > _PREFILTER_THRESHOLD
-    if use_prefilter:
-        # a factor of f vanishes nowhere off the curve f = 0
-        off_curve = point_coords(Q, np.nonzero(~zero_mask(f))[0])
-
-    for batch in _coeff_batches(Q, M):
+    # a factor of f vanishes nowhere off the curve f = 0
+    off_curve = point_coords(Q, np.nonzero(~zero_mask(f))[0])
+    for batch in _coeff_batches(Q, len(monos)):
         scanned += len(batch)
         candidates = batch
-        if use_prefilter:
-            for x, y, z in zip(*off_curve):
-                values = form_values(spec, candidates.T, monos, x, y, z)
-                candidates = candidates[values != 0]
-                if not len(candidates):
-                    break
+        for x, y, z in zip(*off_curve):
+            values = form_values(spec, candidates.T, monos, x, y, z)
+            candidates = candidates[values != 0]
+            if not len(candidates):
+                break
         for row in candidates:
             g = TernaryForm(spec, k, {m: int(c) for m, c in zip(monos, row) if c})
             if divides(g, f):

@@ -130,7 +130,8 @@ def exhaustive_negative_search(
 ) -> SearchReport:
     """Scan every projective degree-d form over F_{q^2} for d(q+1) hits.
 
-    Proves a negative when irreducible_achievers comes back empty.
+    Proves a negative when every achiever is in reducible_achievers: an
+    achiever whose factor search exceeded its budget is in neither list.
     Raises SearchBudgetError when the space exceeds `budget`.
     """
     return _run_search(q, d, model, budget, None)

@@ -21,7 +21,7 @@ from math import factorial, gcd, isqrt
 import numpy as np
 import sympy
 
-from .field import FieldElem, FieldSpec, field_of_order, make_field
+from .field import FieldElem, FieldSpec, field_of_order, prime_power
 
 
 @dataclass
@@ -32,24 +32,6 @@ class SplitCountReport:
     witnesses: list  # encodings of the splitting A, ascending
     closed_form: int | None = None
     agree: bool | None = None
-
-    def to_dict(self):
-        return {
-            "q": self.q,
-            "d": self.d,
-            "count": self.count,
-            "witnesses": self.witnesses,
-            "closed_form": self.closed_form,
-            "agree": self.agree,
-        }
-
-
-def _pq(q: int):
-    fac = sympy.factorint(q)
-    if len(fac) != 1 or q < 2:
-        raise ValueError(f"{q} is not a prime power")
-    ((p, m),) = fac.items()
-    return p, m
 
 
 def fiber_images(spec: FieldSpec, d: int, t: np.ndarray) -> np.ndarray:
@@ -73,7 +55,7 @@ def _splitting_witnesses(spec: FieldSpec, d: int) -> list:
 
 def count_splitting_A(q: int, d: int) -> SplitCountReport:
     """N_d(q) with the witnesses A in F_q^* for which A t^d + t + 1 splits."""
-    witnesses = _splitting_witnesses(make_field(*_pq(q)), d)
+    witnesses = _splitting_witnesses(field_of_order(q), d)
     closed = None
     if d == 3:
         closed = n3_closed_form(q)
@@ -90,7 +72,7 @@ def count_splitting_A(q: int, d: int) -> SplitCountReport:
 def n3_closed_form(q: int) -> int:
     """Number of A in F_q^* with A t^3 + t + 1 split: floor((q-2)/6),
     computed through the underlying case split on q mod 6."""
-    _pq(q)
+    prime_power(q)
     if q % 3 == 0:
         n = (q - 3) // 6
     else:
@@ -102,7 +84,7 @@ def n3_closed_form(q: int) -> int:
 
 def n4_closed_form(q: int) -> int:
     """Number of A in F_q^* with A t^4 + t + 1 split, piecewise by q."""
-    p, e = _pq(q)
+    p, e = prime_power(q)
     if p == 2:
         return 0 if e % 2 else (q - 4) // 12
     if q % 24 == 23:
@@ -117,7 +99,7 @@ def n4_closed_form(q: int) -> int:
 def exists_split_pe(q: int, d: int) -> bool:
     """For d = p^e a power of char(F_q): some splitting A exists iff
     F_{p^e} is a proper subfield of F_q."""
-    p, m = _pq(q)
+    p, m = prime_power(q)
     e = _exact_log(d, p)
     if e is None:
         raise ValueError(f"d={d} is not a power of the characteristic {p}")
@@ -126,7 +108,7 @@ def exists_split_pe(q: int, d: int) -> bool:
 
 def exists_split_pe_plus_one(q: int, d: int) -> bool:
     """For d = p^e + 1: some splitting A exists iff [F_q : F_{p^e}] > 2."""
-    p, m = _pq(q)
+    p, m = prime_power(q)
     e = _exact_log(d - 1, p)
     if e is None:
         raise ValueError(f"d-1={d - 1} is not a power of the characteristic {p}")
@@ -255,5 +237,5 @@ def survey_split(d: int, q_max: int, gcd_filter: int | None = None):
     for q in prime_powers(2, q_max):
         if gcd_filter is not None and gcd(q, gcd_filter) != 1:
             continue
-        rows.append((q, len(_splitting_witnesses(FieldSpec(*_pq(q)), d))))
+        rows.append((q, len(_splitting_witnesses(FieldSpec(*prime_power(q)), d))))
     return rows

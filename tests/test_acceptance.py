@@ -8,9 +8,11 @@ same code path as the `reproduce-paper` command.
 
 import time
 
+import numpy as np
 import pytest
 
-from hermplane import reproduce
+from hermplane import reproduce, search
+from hermplane.plane import ReducibilityResult
 
 
 def _run(fn, budget_seconds):
@@ -66,6 +68,22 @@ def test_exhaustive_negative_searches():
     assert scanned["negative-search-q2-d2"] == 1365
     assert scanned["negative-search-q3-d2"] == 66430
     assert scanned["negative-search-q2-d3"] == 349525
+
+
+def test_undecided_achievers_break_the_negative(monkeypatch):
+    # achievers whose factor search runs out of budget are neither
+    # irreducible nor reducible; the negative must not hold on them
+    monkeypatch.setattr(
+        search, "vanishing_lines", lambda spec, monos, batch: np.zeros((len(batch), 1), bool)
+    )
+    monkeypatch.setattr(
+        search,
+        "reducibility_search",
+        lambda form, budget: ReducibilityResult("budget-exceeded", skipped=(2,)),
+    )
+    records = reproduce.check_negative_searches()
+    assert [r["pass"] for r in records] == [False] * 3
+    assert all(r["observed"][1] > 0 for r in records)
 
 
 # 6. sporadic cubics: count 3(q+1) and certified absolutely irreducible

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hermplane.field import FieldElem, field_of_order
+from hermplane.field import FieldElem, FieldError, field_of_order
 from hermplane.plane import (
     ProjPoint,
     TernaryForm,
@@ -205,19 +205,27 @@ def _hermitian_and_form(draw):
     return h, TernaryForm(h.field, d, {m: draw(coeff) for m in monomials(d)})
 
 
-@given(_hermitian_and_form(), st.booleans())
+@given(_hermitian_and_form())
 @settings(max_examples=60, deadline=None)
-def test_intersection_on_hermitian_points_matches_full_plane(case, swap):
+def test_intersection_on_hermitian_points_matches_full_plane(case):
     h, f = case
     want = np.nonzero(zero_mask(h) & zero_mask(f))[0].tolist()
-    rep = intersection(f, h, with_points=True) if swap else intersection(h, f, with_points=True)
+    rep = intersection(h, f, with_points=True)
     assert rep.count == len(want)
     assert [P.key() for P in rep.points] == [
         P.key() for P in (point_at_index(h.field, i) for i in want)
     ]
     assert rep.degenerate == (f == h)
-    if f != h and f.degree != h.degree:
-        assert rep.d == f.degree
+    assert rep.d == f.degree
+
+
+def test_intersection_needs_a_hermitian_model_first():
+    h = hermitian_model(3, "H1")
+    line = TernaryForm(h.field, 1, {(1, 0, 0): 1})
+    with pytest.raises(ValueError, match="Hermitian model"):
+        intersection(line, h)
+    with pytest.raises(FieldError):
+        intersection(h, TernaryForm(field_of_order(4), 1, {(1, 0, 0): 1}))
 
 
 def test_full_plane_refused_beyond_q64():
