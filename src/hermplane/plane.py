@@ -7,11 +7,16 @@ factor certificate used as an absolute-irreducibility certifier.
 Every evaluation of forms at points goes through one kernel,
 `form_values`: sum of c * X^i Y^j Z^k over broadcastable numpy arrays of
 coordinate encodings, each term one exp gather in the log domain
-(`FieldSpec.monomial_v`).  Point counting enumerates P^2(F_{q^2}) as three
-charts, (x, y, 1) on a Q x Q grid, (x, 1, 0) and (1, 0, 0); `point_coords`
-maps enumeration indices back to coordinates, so point subsets (the
-Hermitian points, the points off a curve) are evaluated without building
-`ProjPoint`s.
+(`FieldSpec.monomial_v`).  The form scan of the negative search
+(`_zero_hits`) builds its span tables with it: values are linear in the
+coefficients, so each canonical form's values at the points are a sum
+H[high digits] + L[low digits] of two precomputed rows, and the scan
+counts zeros by comparing L with -H, with no field arithmetic per form.
+Point counting enumerates P^2(F_{q^2}) as three charts, (x, y, 1) on a
+Q x Q grid, (x, 1, 0) and (1, 0, 0); `point_coords` maps enumeration
+indices back to coordinates and `point_index` coordinates to indices, so
+point subsets (the Hermitian points, the points off a curve, the points
+of a line) are evaluated or looked up without building `ProjPoint`s.
 
 The Hermitian points are not found on the grid but by solving the chart
 z = 1 (`hermitian_points`): neither model has a term with both X and Y,
@@ -29,7 +34,8 @@ The factor certificate works on the Q^2+Q+1 lines of the plane, each
 parametrized as {A + tB : t in F_Q} and B (`line_points`).  A restriction
 to a line factors the way the form does: if f = gh then f|_L = g|_L h|_L.
 So f has a linear factor only where it vanishes on a whole line
-(`vanishing_lines`, one kernel call over all lines), and when d <= Q a
+(`vanishing_lines`: one kernel call over the plane, then each line
+gathers its points), and when d <= Q a
 factor of degree k makes k a sum of degrees of irreducible factors of
 every squarefree restriction f|_L (read off by `unipoly.factor_degrees`).
 The levels k the lines cannot exclude fall back to a budgeted enumeration
@@ -235,6 +241,17 @@ def point_coords(Q: int, idx):
     X = np.where(affine, idx // Q, np.where(line, idx - Q * Q, 1))
     Y = np.where(affine, idx % Q, line.astype(np.int64))
     return X, Y, affine.astype(np.int64)
+
+
+def point_index(spec: FieldSpec, X, Y, Z) -> np.ndarray:
+    """Enumeration indices of the points (X : Y : Z), no triple all zero;
+    the inverse of `point_coords`.  Each point is scaled by the inverse of
+    its last nonzero coordinate onto its chart representative."""
+    Q = spec.order
+    last = np.where(Z != 0, Z, np.where(Y != 0, Y, X))
+    inv = spec.pow_v(np.arange(Q), Q - 2)[last]
+    x, y = spec.mul_v(X, inv), spec.mul_v(Y, inv)
+    return np.where(Z != 0, x * Q + y, np.where(Y != 0, Q * Q + x, Q * Q + Q))
 
 
 def form_values(spec: FieldSpec, coeffs, monos, X, Y, Z) -> np.ndarray:
@@ -539,19 +556,21 @@ def line_form(spec: FieldSpec, i: int) -> TernaryForm:
 def vanishing_lines(spec: FieldSpec, monos, batch) -> np.ndarray:
     """(len(batch), Q^2+Q+1) mask: form r vanishes at every point of line l.
 
-    `batch` holds coefficient rows over `monos`.  Lines are evaluated in
-    chunks so no temporary exceeds about _LINE_CHUNK elements per form
-    row, and at least one line at a time.
+    `batch` holds coefficient rows over `monos`.  Each form is evaluated
+    once at every point of the plane; a line's entry gathers the zeros at
+    its Q+1 points (`point_index` of `line_points`).  The lines go in
+    chunks so no gather exceeds about _LINE_CHUNK elements, and at least
+    one line at a time.
     """
     batch = np.asarray(batch, dtype=np.int64)
-    n_lines = line_count(spec.order)
-    out = np.empty((len(batch), n_lines), dtype=bool)
-    step = max(1, _LINE_CHUNK // (len(batch) * (spec.order + 1)))
-    coeffs = batch.T[:, :, None, None]
-    for lo in range(0, n_lines, step):
-        idx = np.arange(lo, min(lo + step, n_lines))
-        values = form_values(spec, coeffs, monos, *line_points(spec, idx))
-        out[:, lo : lo + len(idx)] = ~values.any(axis=-1)
+    Q = spec.order
+    n = line_count(Q)  # the plane has as many points as lines
+    zero = form_values(spec, batch.T[:, :, None], monos, *point_coords(Q, np.arange(n))) == 0
+    out = np.empty((len(batch), n), dtype=bool)
+    step = max(1, _LINE_CHUNK // (len(batch) * (Q + 1)))
+    for lo in range(0, n, step):
+        idx = np.arange(lo, min(lo + step, n))
+        out[:, lo : lo + len(idx)] = zero[:, point_index(spec, *line_points(spec, idx))].all(axis=-1)
     return out
 
 
@@ -611,6 +630,18 @@ def _line_surviving_degrees(f: TernaryForm, levels) -> list[int]:
     return sorted(survivors)
 
 
+def _coeff_rows(Q: int, M: int, lead: int, s) -> np.ndarray:
+    """Coefficient rows of the canonical forms (lead, s): a 1 at `lead`,
+    then the free coefficients as the base-Q digits of s, most significant
+    first."""
+    s = np.asarray(s, dtype=np.int64)
+    free = M - 1 - lead
+    rows = np.zeros((len(s), M), dtype=np.int64)
+    rows[:, lead] = 1
+    rows[:, lead + 1 :] = s[:, None] // Q ** np.arange(free - 1, -1, -1, dtype=np.int64) % Q
+    return rows
+
+
 def _coeff_batches(Q: int, M: int, chunk: int = 1 << 15):
     """Canonical projective coefficient vectors of length M, in batches.
 
@@ -618,18 +649,47 @@ def _coeff_batches(Q: int, M: int, chunk: int = 1 << 15):
     base-Q integer (most significant digit right after the leading 1).
     """
     for lead in range(M):
+        total = Q ** (M - 1 - lead)
+        for start in range(0, total, chunk):
+            yield _coeff_rows(Q, M, lead, np.arange(start, min(start + chunk, total)))
+
+
+def _zero_hits(spec: FieldSpec, monos, X, Y, Z, chunk: int = 1 << 15):
+    """Zero counts of every canonical form over `monos` at the points
+    (X, Y, Z), in `_coeff_batches` order.
+
+    Yields (lead, offset, hits): hits[i] counts the points where the form
+    (lead, offset + i) of `_coeff_rows` vanishes.  Values are linear in
+    the coefficients, so with the free digits of s split into high and
+    low ones, values(s) = H[high] + L[low]: H sums the rows c * X^i Y^j Z^k
+    of the leading 1 and the high digits, L those of the low digits, and
+    the form vanishes where L[low] = -H[high].  Each (form, point) is then
+    one comparison; L has at most `chunk` rows, and H is built in chunks
+    so no comparison exceeds `chunk` forms.
+    """
+    Q, M = spec.order, len(monos)
+    c = np.arange(Q, dtype=np.int64)[:, None]
+    # table[m][c]: c times monomial m at every point
+    table = [form_values(spec, (c,), (m,), X, Y, Z) for m in monos]
+    dtype = np.min_scalar_type(Q - 1)
+    for lead in range(M):
         free = M - 1 - lead
-        total = Q**free
-        start = 0
-        while start < total:
-            n = min(chunk, total - start)
-            arr = np.zeros((n, M), dtype=np.int64)
-            arr[:, lead] = 1
-            s = np.arange(start, start + n, dtype=np.int64)
-            for pos in range(free):
-                arr[:, lead + 1 + pos] = (s // Q ** (free - 1 - pos)) % Q
-            yield arr
-            start += n
+        low = 0
+        while low < free // 2 and Q ** (low + 1) <= chunk:
+            low += 1
+        L = np.zeros((1, table[0].shape[1]), dtype=np.int64)
+        for m in range(M - low, M):
+            L = spec.add_v(L[:, None], table[m][None]).reshape(-1, L.shape[1])
+        L = L.astype(dtype)
+        high_rows, step = Q ** (free - low), max(1, chunk // len(L))
+        for h0 in range(0, high_rows, step):
+            # the high digits are canonical rows over the first M - low monomials
+            h = _coeff_rows(Q, M - low, lead, np.arange(h0, min(h0 + step, high_rows)))
+            H = table[lead][h[:, lead]]
+            for m in range(lead + 1, M - low):
+                H = spec.add_v(H, table[m][h[:, m]])
+            neg = spec.neg_v(H).astype(dtype)
+            yield lead, h0 * len(L), np.count_nonzero(L == neg[:, None], axis=2).reshape(-1)
 
 
 def _search_degree_k_factor(f: TernaryForm, k: int):
@@ -665,12 +725,15 @@ def reducibility_search(
     d <= Q, line restrictions exclude factor degrees 2 .. d/2; a level
     they leave open is enumerated when Q^(M_k - 1) <= budget, where M_k
     is the number of degree-k monomials, and is reported in `skipped`
-    otherwise.
+    otherwise.  A line has no proper factor: it is irreducible, though
+    it vanishes on a whole line.
     """
-    if f.degree < 2:
-        raise ValueError("factor search needs degree >= 2")
+    if f.degree < 1:
+        raise ValueError("factor search needs degree >= 1")
     spec, d = f.field, f.degree
     Q = spec.order
+    if d == 1:
+        return ReducibilityResult("irreducible")
     row = [tuple(f.terms.values())]
     scanned = line_count(Q)
     for i in np.nonzero(vanishing_lines(spec, tuple(f.terms), row)[0])[0]:

@@ -3,12 +3,15 @@
 These back the small-field impossibility results: for some (q, d) no
 irreducible degree-d curve meets the Hermitian curve in d(q+1) distinct
 rational points.  Every projective equivalence class of ternary forms is
-scanned, counting zeros among the q^3+1 Hermitian points only (that count
-is the intersection number), and each achiever that shares no component
-with the Hermitian model is classified: when d <= Q, the achievers of a
-scan batch that vanish on a whole line are reducible by one line test
-(`vanishing_lines`), and the rest go through the factor certificate
-`reducibility_search`.
+scanned in canonical order, counting zeros among the q^3+1 Hermitian
+points only (that count is the intersection number).  The counts come
+from `plane._zero_hits`, which splits the coefficient span into two
+tables of form values and compares them, one comparison per form and
+point.  An achiever, rebuilt from its index (`plane._coeff_rows`), that
+shares no component with the Hermitian model is classified: for
+2 <= d <= Q the achievers that vanish on a whole line are reducible by
+one line test (`vanishing_lines`), and the rest, lines included, go
+through the factor certificate `reducibility_search`.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ import numpy as np
 
 from .plane import (
     TernaryForm,
-    _coeff_batches,
+    _coeff_rows,
+    _zero_hits,
     divides,
-    form_values,
     hermitian_model,
     hermitian_points,
     monomials,
@@ -80,6 +83,10 @@ def _shares_hermitian_component(form: TernaryForm, h: TernaryForm) -> bool:
 
 
 def _run_search(q, d, model, budget, limit):
+    if d < 1:
+        raise ValueError(f"degree d must be >= 1 (got {d})")
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1 (got {budget})")
     h = hermitian_model(q, model)
     spec = h.field
     Q = spec.order
@@ -94,23 +101,18 @@ def _run_search(q, d, model, budget, limit):
     cap = total if limit is None else min(total, budget)
     target = d * (q + 1)
     report = SearchReport(q, d, model, target, 0, False)
-    for batch in _coeff_batches(Q, M):
-        if report.total_forms_scanned >= cap:
-            break
-        if report.total_forms_scanned + batch.shape[0] > cap:
-            batch = batch[: cap - report.total_forms_scanned]
-        values = form_values(spec, batch.T[:, :, None], mons, *points)
-        hits = np.count_nonzero(values == 0, axis=1)
-        report.total_forms_scanned += batch.shape[0]
-        rows = np.nonzero(hits == target)[0]
-        # a line through d + 1 zeros of a form divides it
+    for lead, offset, hits in _zero_hits(spec, mons, *points):
+        hits = hits[: cap - report.total_forms_scanned]
+        scanned = report.total_forms_scanned
+        report.total_forms_scanned += len(hits)
+        rows = np.flatnonzero(hits == target)
+        batch = _coeff_rows(Q, M, lead, offset + rows)
+        # a line through d + 1 zeros of a form of degree d >= 2 divides it
         lined = np.zeros(len(rows), dtype=bool)
-        if d <= Q and len(rows):
-            lined = vanishing_lines(spec, mons, batch[rows]).any(axis=1)
-        for idx, has_line in zip(rows, lined):
-            form = TernaryForm(
-                spec, d, {m: int(c) for m, c in zip(mons, batch[idx]) if c}
-            )
+        if 2 <= d <= Q and len(rows):
+            lined = vanishing_lines(spec, mons, batch).any(axis=1)
+        for i, coeffs, has_line in zip(rows, batch, lined):
+            form = TernaryForm(spec, d, {m: int(c) for m, c in zip(mons, coeffs) if c})
             if _shares_hermitian_component(form, h):
                 continue
             report.achievers.append(form)
@@ -118,9 +120,13 @@ def _run_search(q, d, model, budget, limit):
             if status == "irreducible":
                 report.irreducible_achievers.append(form)
                 if limit is not None and len(report.irreducible_achievers) >= limit:
+                    # the scan stops at this form
+                    report.total_forms_scanned = scanned + int(i) + 1
                     return report
             elif status == "factor":
                 report.reducible_achievers.append(form)
+        if report.total_forms_scanned >= cap:
+            break
     report.complete = report.total_forms_scanned >= total
     return report
 
@@ -142,8 +148,9 @@ def positive_witness_search(
 ) -> SearchReport:
     """Scan in canonical order until `limit` irreducible achievers appear.
 
-    At most `budget` forms are scanned; `complete` records whether the
-    space was exhausted anyway.
+    At most `budget` forms are scanned; `total_forms_scanned` counts the
+    forms up to the last witness found, and `complete` records whether
+    the space was exhausted anyway.
     """
     if limit < 1:
         raise ValueError("limit must be >= 1")

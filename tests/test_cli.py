@@ -71,6 +71,22 @@ def test_negative_search_over_budget_is_usage_error(capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--d", "0"], "degree d must be >= 1 (got 0)"),
+        (["--d", "-1"], "degree d must be >= 1 (got -1)"),
+        (["--d", "2", "--budget", "0"], "budget must be >= 1 (got 0)"),
+        (["--d", "2", "--budget", "-5"], "budget must be >= 1 (got -5)"),
+    ],
+)
+def test_negative_search_bad_degree_or_budget_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, "negative-search", "--q", "2", *argv)
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_verify_success_and_failure_exit_codes(capsys):
     code, out, _ = run(capsys, "verify", "--family", "sporadic-cubic", "--q", "5")
     assert code == 0

@@ -71,6 +71,34 @@ def test_vanishing_lines_are_the_linear_factors():
     assert found == {x + y, y - z}
 
 
+def test_vanishing_lines_match_evaluation_on_each_line():
+    # the oracle evaluates every form at the Q + 1 points of every line
+    rng = np.random.default_rng(3)
+    for Q, d in ((4, 2), (9, 3), (16, 2)):
+        spec = field_of_order(Q)
+        monos, rest = monomials(d), monomials(d - 1)
+        rows = rng.integers(0, Q, (12, len(monos))).tolist()
+        for _ in range(12):  # forms with a planted linear factor
+            g = line_form(spec, int(rng.integers(line_count(Q))))
+            f = g * TernaryForm(spec, d - 1, dict(zip(rest, rng.integers(0, Q, len(rest)).tolist())))
+            rows.append([f.terms.get(m, 0) for m in monos])
+        batch = np.array(rows)
+        values = form_values(
+            spec, batch.T[:, :, None, None], monos, *line_points(spec, np.arange(line_count(Q)))
+        )
+        mask = vanishing_lines(spec, monos, batch)
+        assert np.array_equal(mask, ~values.any(axis=-1))
+        assert mask[12:].any(axis=1).all()
+
+
+def test_a_line_is_absolutely_irreducible():
+    spec = field_of_order(9)
+    for i in (0, 40, line_count(9) - 1):
+        g = line_form(spec, i)
+        assert reducibility_search(g).status == "irreducible"
+        assert absolute_irreducibility_status(g).status == "absolutely-irreducible"
+
+
 def test_restrictions_match_substitution():
     # f(A + tB) expanded with UniPoly arithmetic, against the interpolation
     for Q, d in ((9, 4), (16, 5), (16, 16), (25, 3)):

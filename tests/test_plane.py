@@ -20,6 +20,7 @@ from hermplane.plane import (
     partials,
     point_at_index,
     point_coords,
+    point_index,
     points_on,
     reducibility_search,
     zero_mask,
@@ -122,6 +123,18 @@ def test_evaluate_all_matches_scalar_evaluation(f):
     assert values.shape == (Q * Q + Q + 1,)
     want = [_scalar_value(f, _chart_representative(Q, i)) for i in range(len(values))]
     assert values.tolist() == want
+
+
+def test_point_index_inverts_point_coords():
+    for Q in (2, 3, 4, 9, 16):
+        spec = field_of_order(Q)
+        n = Q * Q + Q + 1
+        X, Y, Z = point_coords(Q, np.arange(n))
+        assert np.array_equal(point_index(spec, X, Y, Z), np.arange(n))
+        # any nonzero multiple names the same point
+        c = np.arange(n) % (Q - 1) + 1
+        scaled = (spec.mul_v(c, v) for v in (X, Y, Z))
+        assert np.array_equal(point_index(spec, *scaled), np.arange(n))
 
 
 def test_batch_rows_match_single_form_calls():

@@ -1,6 +1,21 @@
+from itertools import product
+
+import numpy as np
 import pytest
 
-from hermplane.plane import divides, hermitian_model, intersection
+from hermplane.plane import (
+    TernaryForm,
+    _coeff_batches,
+    _zero_hits,
+    divides,
+    form_values,
+    hermitian_model,
+    hermitian_points,
+    intersection,
+    monomials,
+    point_coords,
+    reducibility_search,
+)
 from hermplane.search import (
     exhaustive_negative_search,
     positive_witness_search,
@@ -28,6 +43,41 @@ def test_no_irreducible_conic_with_six_points_over_f4():
         assert not divides(f, h)
 
 
+@pytest.mark.parametrize("chunk", [1 << 15, 64])
+@pytest.mark.parametrize("model", ["H1", "H2"])
+@pytest.mark.parametrize("q, d", [(2, 2), (3, 2), (2, 3)])
+def test_zero_hits_match_form_values(q, d, model, chunk):
+    # the span scan against the kernel on each canonical batch, form by
+    # form; a chunk of 64 forms caps the low digits and splits H finely
+    spec = hermitian_model(q, model).field
+    Q, monos = spec.order, monomials(d)
+    points = point_coords(Q, hermitian_points(q, model))
+    want = np.concatenate(
+        [
+            np.count_nonzero(form_values(spec, b.T[:, :, None], monos, *points) == 0, axis=1)
+            for b in _coeff_batches(Q, len(monos))
+        ]
+    )
+    got, done = [], {}
+    for lead, offset, hits in _zero_hits(spec, monos, *points, chunk=chunk):
+        assert offset == done.get(lead, 0)
+        done[lead] = offset + len(hits)
+        got.append(hits)
+    assert done == {lead: Q ** (len(monos) - 1 - lead) for lead in range(len(monos))}
+    assert np.array_equal(np.concatenate(got), want)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_secant_lines_are_irreducible_achievers(q):
+    # a line meets H_q in q + 1 points exactly when it is not one of the
+    # q^3 + 1 tangents; the q^4 + q^2 + 1 lines leave q^4 - q^3 + q^2
+    rep = exhaustive_negative_search(q, 1)
+    assert rep.complete
+    assert rep.total_forms_scanned == q**4 + q**2 + 1
+    assert len(rep.achievers) == len(rep.irreducible_achievers) == q**4 - q**3 + q**2
+    assert rep.reducible_achievers == []
+
+
 def test_negative_search_budget_guard():
     from hermplane.search import SearchBudgetError
 
@@ -41,6 +91,28 @@ def test_positive_witness_conic_over_f16():
     f = rep.irreducible_achievers[0]
     h = hermitian_model(4, "H2")
     assert intersection(h, f).count == 2 * 5
+
+
+def test_positive_witness_matches_a_reference_scan():
+    # canonical order one form at a time: leading 1, then the free
+    # coefficients with the last one fastest
+    h = hermitian_model(4, "H2")
+    spec, monos = h.field, monomials(2)
+    scanned, witness = 0, None
+    for lead in range(len(monos)):
+        for free in product(range(spec.order), repeat=len(monos) - 1 - lead):
+            scanned += 1
+            coeffs = (0,) * lead + (1,) + free
+            f = TernaryForm(spec, 2, {m: c for m, c in zip(monos, coeffs) if c})
+            if intersection(h, f).count == 10 and reducibility_search(f).status == "irreducible":
+                witness = f
+                break
+        if witness is not None:
+            break
+    rep = positive_witness_search(4, 2, limit=1)
+    assert rep.irreducible_achievers[0].same_terms(witness)
+    assert rep.total_forms_scanned == scanned
+    assert not rep.complete
 
 
 def test_positive_witness_respects_budget_cap():
