@@ -30,16 +30,20 @@ and the negative search read the same set.  The full plane
 independent count the verification matrix checks the point set against;
 it is refused beyond F_{64^2}.
 
-The factor certificate works on the Q^2+Q+1 lines of the plane, each
+The factor certificate has two parts.  A form whose three partials are
+nonzero single terms, powers of X, Y and Z up to order (H1, H2, the
+odd-half curves), vanish together only at 0, so the curve has no
+singular point over the algebraic closure; a nonsingular plane curve is
+absolutely irreducible, because two components would meet in a singular
+point.  Every other form goes to the Q^2+Q+1 lines of the plane, each
 parametrized as {A + tB : t in F_Q} and B (`line_points`).  A restriction
 to a line factors the way the form does: if f = gh then f|_L = g|_L h|_L.
 So f has a linear factor only where it vanishes on a whole line
 (`vanishing_lines`: one kernel call over the plane, then each line
-gathers its points), and when d <= Q a
-factor of degree k makes k a sum of degrees of irreducible factors of
-every squarefree restriction f|_L (read off by `unipoly.factor_degrees`).
-The levels k the lines cannot exclude fall back to a budgeted enumeration
-of candidate factors.
+gathers its points), and when d <= Q a factor of degree k makes k a sum
+of degrees of irreducible factors of every squarefree restriction f|_L
+(read off by `unipoly.factor_degrees`).  The degrees the lines cannot
+exclude are reported open: the certificate then decides nothing.
 """
 
 from __future__ import annotations
@@ -52,8 +56,6 @@ import numpy as np
 
 from .field import FieldElem, FieldError, FieldSpec
 from .unipoly import UniPoly, factor_degrees, is_squarefree
-
-DEFAULT_FACTOR_BUDGET = 10**7
 
 # largest field whose plane `evaluate_all` builds: F_{64^2}, 16.8 M points
 _MAX_PLANE_ORDER = 4096
@@ -268,7 +270,7 @@ def form_values(spec: FieldSpec, coeffs, monos, X, Y, Z) -> np.ndarray:
     acc = np.zeros(shape, dtype=np.int64)
     # a scalar zero coordinate with a positive exponent zeroes the whole
     # term; skipping it saves a call on the charts (x, 1, 0), (1, 0, 0) and
-    # at the prefilter's single points
+    # on the axes of the Hermitian chart solve
     zero = [np.ndim(x) == 0 and x == 0 for x in points]
     for c, m in zip(coeffs, monos):
         if not any(z and e for z, e in zip(zero, m)):
@@ -455,7 +457,7 @@ def has_smooth_rational_point(f: TernaryForm) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# divisibility and the bounded factor search
+# divisibility and the factor certificate
 # ---------------------------------------------------------------------------
 
 def divides(g: TernaryForm, f: TernaryForm) -> bool:
@@ -484,10 +486,14 @@ def divides(g: TernaryForm, f: TernaryForm) -> bool:
 
 @dataclass
 class ReducibilityResult:
-    status: str  # "irreducible" | "factor" | "budget-exceeded"
+    """The outcome of `reducibility_search`: "factor" with a linear factor,
+    "irreducible" when the lines exclude every degree 1 .. d/2, or "open"
+    with the factor degrees they leave open, which decides nothing."""
+
+    status: str  # "irreducible" | "factor" | "open"
     factor: TernaryForm | None = None
-    scanned: int = 0  # candidate factors tested: every line, then enumerated forms
-    skipped: tuple[int, ...] = ()  # factor degrees left open for budget
+    scanned: int = 0  # candidate factors tested: every line of the plane
+    open: tuple[int, ...] = ()  # factor degrees no line restriction excludes
 
 
 @dataclass
@@ -602,8 +608,8 @@ def _line_surviving_degrees(f: TernaryForm, levels) -> list[int]:
     degree d, or of degree d - 1, where B is a simple root and adds one
     linear factor.  Lines are walked in a fixed seeded order, until no
     degree survives or _LINE_STALL used lines in a row removed none; the
-    degrees still open then go to the enumeration, so stopping early
-    never certifies anything.
+    degrees still open are returned, so stopping early never certifies
+    anything.
     """
     spec, d = f.field, f.degree
     survivors = set(levels)
@@ -633,30 +639,24 @@ def _line_surviving_degrees(f: TernaryForm, levels) -> list[int]:
 def _coeff_rows(Q: int, M: int, lead: int, s) -> np.ndarray:
     """Coefficient rows of the canonical forms (lead, s): a 1 at `lead`,
     then the free coefficients as the base-Q digits of s, most significant
-    first."""
+    first.
+
+    The digit of a place value Q^k above every index is 0, so only the
+    places up to max(s) are decoded; their values fit in int64 with s.
+    """
     s = np.asarray(s, dtype=np.int64)
-    free = M - 1 - lead
     rows = np.zeros((len(s), M), dtype=np.int64)
     rows[:, lead] = 1
-    rows[:, lead + 1 :] = s[:, None] // Q ** np.arange(free - 1, -1, -1, dtype=np.int64) % Q
+    top = int(s.max(initial=0))
+    places = np.array([Q**k for k in range(M - 1 - lead) if Q**k <= top], dtype=np.int64)
+    rows[:, M - len(places) :] = s[:, None] // places[::-1] % Q
     return rows
-
-
-def _coeff_batches(Q: int, M: int, chunk: int = 1 << 15):
-    """Canonical projective coefficient vectors of length M, in batches.
-
-    Ordering: leading index ascending, then the remaining coefficients as a
-    base-Q integer (most significant digit right after the leading 1).
-    """
-    for lead in range(M):
-        total = Q ** (M - 1 - lead)
-        for start in range(0, total, chunk):
-            yield _coeff_rows(Q, M, lead, np.arange(start, min(start + chunk, total)))
 
 
 def _zero_hits(spec: FieldSpec, monos, X, Y, Z, chunk: int = 1 << 15):
     """Zero counts of every canonical form over `monos` at the points
-    (X, Y, Z), in `_coeff_batches` order.
+    (X, Y, Z), leading index ascending, then the free coefficients as a
+    base-Q integer s.
 
     Yields (lead, offset, hits): hits[i] counts the points where the form
     (lead, offset + i) of `_coeff_rows` vanishes.  Values are linear in
@@ -692,41 +692,15 @@ def _zero_hits(spec: FieldSpec, monos, X, Y, Z, chunk: int = 1 << 15):
             yield lead, h0 * len(L), np.count_nonzero(L == neg[:, None], axis=2).reshape(-1)
 
 
-def _search_degree_k_factor(f: TernaryForm, k: int):
-    """First canonical degree-k factor of f, or None; returns (factor, scanned)."""
-    spec = f.field
-    Q = spec.order
-    monos = monomials(k)
-    scanned = 0
-    # a factor of f vanishes nowhere off the curve f = 0
-    off_curve = point_coords(Q, np.nonzero(~zero_mask(f))[0])
-    for batch in _coeff_batches(Q, len(monos)):
-        scanned += len(batch)
-        candidates = batch
-        for x, y, z in zip(*off_curve):
-            values = form_values(spec, candidates.T, monos, x, y, z)
-            candidates = candidates[values != 0]
-            if not len(candidates):
-                break
-        for row in candidates:
-            g = TernaryForm(spec, k, {m: int(c) for m, c in zip(monos, row) if c})
-            if divides(g, f):
-                return g, scanned
-    return None, scanned
-
-
-def reducibility_search(
-    f: TernaryForm, budget: int = DEFAULT_FACTOR_BUDGET
-) -> ReducibilityResult:
-    """Certify that f has no factor of degree 1 .. d/2, or return a factor.
+def reducibility_search(f: TernaryForm) -> ReducibilityResult:
+    """Certify that f has no factor of degree 1 .. d/2, or return a linear one.
 
     Linear factors are the lines on which f vanishes: for d <= Q such a
     line divides f, for d > Q each is confirmed with `divides`.  For
-    d <= Q, line restrictions exclude factor degrees 2 .. d/2; a level
-    they leave open is enumerated when Q^(M_k - 1) <= budget, where M_k
-    is the number of degree-k monomials, and is reported in `skipped`
-    otherwise.  A line has no proper factor: it is irreducible, though
-    it vanishes on a whole line.
+    d <= Q, line restrictions exclude factor degrees 2 .. d/2; the degrees
+    they leave open, all of 2 .. d/2 when d > Q, are reported as "open".
+    A line has no proper factor: it is irreducible, though it vanishes on
+    a whole line.
     """
     if f.degree < 1:
         raise ValueError("factor search needs degree >= 1")
@@ -743,40 +717,39 @@ def reducibility_search(
     levels = range(2, d // 2 + 1)
     if d <= Q:
         levels = _line_surviving_degrees(f, levels)
-    skipped = []
-    for k in levels:
-        M = (k + 1) * (k + 2) // 2
-        if Q ** (M - 1) > budget:
-            skipped.append(k)
-            continue
-        g, n = _search_degree_k_factor(f, k)
-        scanned += n
-        if g is not None:
-            return ReducibilityResult("factor", g, scanned)
-    if skipped:
-        return ReducibilityResult("budget-exceeded", None, scanned, tuple(skipped))
+    if levels:
+        return ReducibilityResult("open", None, scanned, tuple(levels))
     return ReducibilityResult("irreducible", None, scanned)
 
 
-def absolute_irreducibility_status(
-    f: TernaryForm, budget: int = DEFAULT_FACTOR_BUDGET
-) -> IrreducibilityStatus:
+def _partials_vanish_only_at_zero(f: TernaryForm) -> bool:
+    """True when the partials of f are nonzero single terms c * v^(d-1),
+    one for each variable v up to order: they vanish together only at 0."""
+    grad, e = partials(f), f.degree - 1
+    pure = {(e, 0, 0), (0, e, 0), (0, 0, e)}
+    return all(len(g.terms) == 1 for g in grad) and {m for g in grad for m in g.terms} == pure
+
+
+def absolute_irreducibility_status(f: TernaryForm) -> IrreducibilityStatus:
     """Certify absolute irreducibility.
 
-    Irreducible over F_{q^2} plus one nonsingular rational point certifies
-    absolute irreducibility: a geometrically reducible but rationally
-    irreducible form has all its rational points on >= 2 conjugate
-    components, hence singular.
+    Partials that vanish together only at 0 (`_partials_vanish_only_at_zero`)
+    leave f no singular point over the algebraic closure, and a nonsingular
+    plane curve is absolutely irreducible: two components would meet in a
+    singular point.  Otherwise, irreducible over F_{q^2} plus one
+    nonsingular rational point certifies absolute irreducibility: a
+    geometrically reducible but rationally irreducible form has all its
+    rational points on >= 2 conjugate components, hence singular.
     """
-    res = reducibility_search(f, budget)
+    if _partials_vanish_only_at_zero(f):
+        return IrreducibilityStatus("absolutely-irreducible")
+    res = reducibility_search(f)
     if res.status == "factor":
         return IrreducibilityStatus("reducible", res.factor)
-    if res.status == "budget-exceeded":
-        label = "degree" if len(res.skipped) == 1 else "degrees"
-        degrees = ", ".join(map(str, res.skipped))
-        return IrreducibilityStatus(
-            "undetermined", reason=f"factor budget exceeded at {label} {degrees}"
-        )
+    if res.status == "open":
+        label = "degree" if len(res.open) == 1 else "degrees"
+        degrees = ", ".join(map(str, res.open))
+        return IrreducibilityStatus("undetermined", reason=f"lines left {label} {degrees} open")
     if has_smooth_rational_point(f):
         return IrreducibilityStatus("absolutely-irreducible")
     return IrreducibilityStatus("undetermined", reason="no smooth rational point found")

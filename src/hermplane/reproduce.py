@@ -42,6 +42,7 @@ from .plane import (
     hermitian_model,
     intersection,
     monomials,
+    partials,
     zero_mask,
 )
 from .search import exhaustive_negative_search
@@ -144,8 +145,8 @@ def check_negative_searches():
     for (q, d), total in (((2, 2), 1365), ((3, 2), 66430), ((2, 3), 349525)):
         t0 = time.monotonic()
         rep = exhaustive_negative_search(q, d)
-        # only achievers proved reducible are ruled out; one whose factor
-        # search ran out of budget breaks the negative like an irreducible one
+        # only achievers proved reducible are ruled out; one the factor
+        # certificate leaves open breaks the negative like an irreducible one
         open_achievers = len(rep.achievers) - len(rep.reducible_achievers)
         obs = (rep.total_forms_scanned, open_achievers, rep.complete)
         out.append(_rec(f"negative-search-q{q}-d{d}", (total, 0, True), obs, t0))
@@ -188,7 +189,6 @@ def check_secant_fan():
             if measure("secant-fan", q, d)[2].count != d * (q + 1)
         ]
         out.append(_rec(f"secant-fan-counts-q{q}", [], bad, t0))
-    # irreducibility where the factor budget allows (degree <= 5)
     for q, d in ((3, 4), (3, 5), (4, 5)):
         t0 = time.monotonic()
         status = absolute_irreducibility_status(measure("secant-fan", q, d)[1]).status
@@ -312,6 +312,10 @@ def check_euler_identity():
     """X f_X + Y f_Y + Z f_Z = d f for 1000 seeded random forms."""
     t0 = time.monotonic()
     rng = random.Random(20260826)
+    variables = {
+        q: [TernaryForm(ambient(q), 1, {m: 1}) for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
+        for q in (2, 3, 4, 5)
+    }
     bad = 0
     for _ in range(1000):
         q = rng.choice((2, 3, 4, 5))
@@ -324,12 +328,8 @@ def check_euler_identity():
         if not terms:
             terms = {(d, 0, 0): 1}
         f = TernaryForm(spec, d, terms)
-        from .plane import partials
-
+        x, y, z = variables[q]
         fx, fy, fz = partials(f)
-        x = TernaryForm(spec, 1, {(1, 0, 0): 1})
-        y = TernaryForm(spec, 1, {(0, 1, 0): 1})
-        z = TernaryForm(spec, 1, {(0, 0, 1): 1})
         lhs = x * fx + y * fy + z * fz
         rhs = f.scale(FieldElem(spec, d % spec.p))
         if not lhs.same_terms(rhs):

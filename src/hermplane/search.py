@@ -11,7 +11,9 @@ point.  An achiever, rebuilt from its index (`plane._coeff_rows`), that
 shares no component with the Hermitian model is classified: for
 2 <= d <= Q the achievers that vanish on a whole line are reducible by
 one line test (`vanishing_lines`), and the rest, lines included, go
-through the factor certificate `reducibility_search`.
+through the factor certificate `reducibility_search`.  An achiever the
+certificate leaves open is in neither class, and an irreducible one is
+accepted only after `intersection` re-measures it to d(q+1).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .plane import (
     divides,
     hermitian_model,
     hermitian_points,
+    intersection,
     monomials,
     point_coords,
     reducibility_search,
@@ -34,6 +37,9 @@ from .plane import (
 )
 
 SCAN_BUDGET = 10**7
+
+# form indices are int64 (`_coeff_rows`), so no scan goes past this one
+_MAX_FORM_INDEX = np.iinfo(np.int64).max
 
 
 class SearchBudgetError(RuntimeError):
@@ -99,6 +105,11 @@ def _run_search(q, d, model, budget, limit):
             f"{total} candidate forms for (q={q}, d={d}) exceed the budget {budget}"
         )
     cap = total if limit is None else min(total, budget)
+    if cap > _MAX_FORM_INDEX:
+        raise ValueError(
+            f"budget {budget} would scan {cap} forms for (q={q}, d={d}), "
+            f"past the largest form index {_MAX_FORM_INDEX}"
+        )
     target = d * (q + 1)
     report = SearchReport(q, d, model, target, 0, False)
     for lead, offset, hits in _zero_hits(spec, mons, *points):
@@ -115,8 +126,10 @@ def _run_search(q, d, model, budget, limit):
             form = TernaryForm(spec, d, {m: int(c) for m, c in zip(mons, coeffs) if c})
             if _shares_hermitian_component(form, h):
                 continue
+            status = "factor" if has_line else reducibility_search(form).status
+            if status == "irreducible" and intersection(h, form).count != target:
+                continue  # not the form that was counted: no witness
             report.achievers.append(form)
-            status = "factor" if has_line else reducibility_search(form, budget=budget).status
             if status == "irreducible":
                 report.irreducible_achievers.append(form)
                 if limit is not None and len(report.irreducible_achievers) >= limit:
@@ -137,8 +150,10 @@ def exhaustive_negative_search(
     """Scan every projective degree-d form over F_{q^2} for d(q+1) hits.
 
     Proves a negative when every achiever is in reducible_achievers: an
-    achiever whose factor search exceeded its budget is in neither list.
-    Raises SearchBudgetError when the space exceeds `budget`.
+    achiever with a factor degree the lines leave open
+    (`ReducibilityResult.open`, possible only for d >= 4) is in neither
+    list, so it breaks the negative.  Raises SearchBudgetError when the
+    space exceeds `budget`.
     """
     return _run_search(q, d, model, budget, None)
 

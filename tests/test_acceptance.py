@@ -71,7 +71,7 @@ def test_exhaustive_negative_searches():
 
 
 def test_undecided_achievers_break_the_negative(monkeypatch):
-    # achievers whose factor search runs out of budget are neither
+    # achievers with a factor degree the lines leave open are neither
     # irreducible nor reducible; the negative must not hold on them
     monkeypatch.setattr(
         search, "vanishing_lines", lambda spec, monos, batch: np.zeros((len(batch), 1), bool)
@@ -79,7 +79,7 @@ def test_undecided_achievers_break_the_negative(monkeypatch):
     monkeypatch.setattr(
         search,
         "reducibility_search",
-        lambda form, budget: ReducibilityResult("budget-exceeded", skipped=(2,)),
+        lambda form: ReducibilityResult("open", open=(2,)),
     )
     records = reproduce.check_negative_searches()
     assert [r["pass"] for r in records] == [False] * 3

@@ -71,6 +71,15 @@ def test_negative_search_over_budget_is_usage_error(capsys):
     assert "Traceback" not in err
 
 
+def test_negative_search_budget_past_int64_is_usage_error(capsys):
+    # the space fits this budget, but its form indices would leave int64
+    code, out, err = run(capsys, "negative-search", "--q", "7", "--d", "6", "--budget", str(10**50))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: budget 1" + "0" * 50 + " would scan ")
+    assert err.endswith("past the largest form index 9223372036854775807\n")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [

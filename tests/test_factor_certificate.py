@@ -1,37 +1,92 @@
-"""The line factor certificate of `plane.reducibility_search`.
+"""The factor certificate of `plane.absolute_irreducibility_status`: the
+partials rule for nonsingular curves and the line certificate
+`plane.reducibility_search`.
 
-The oracle is the enumeration of candidate factors, degree by degree, that
-the certificate falls back to: `_search_degree_k_factor` called directly.
+The oracle is an enumeration of candidate factors, degree by degree:
+`_search_degree_k_factor` below, which tests every canonical form of
+degree k that vanishes nowhere off the curve for divisibility.
 """
 
 import time
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from hermplane.constructions import secant_fan_curve, sporadic_cubic
+from hermplane.constructions import build, secant_fan_curve, sporadic_cubic
 from hermplane.field import FieldElem, field_of_order
 from hermplane import plane
 from hermplane.plane import (
     ProjPoint,
     TernaryForm,
+    _coeff_rows,
     _line_frames,
+    _partials_vanish_only_at_zero,
     _restrictions,
-    _search_degree_k_factor,
     absolute_irreducibility_status,
     divides,
     form_values,
+    hermitian_model,
     line_count,
     line_form,
     line_points,
     monomials,
+    point_coords,
     reducibility_search,
     vanishing_lines,
+    zero_mask,
 )
 from hermplane.unipoly import UniPoly
 
-# below 16^5, so the conic level over F_16 is left to the lines; 9^5 and 4^5 fit
+# the oracle enumerates a degree when it has at most this many forms:
+# conics over F_Q for Q <= 9, not over F_16
 BUDGET = 10**5
+
+
+def _coeff_batches(Q, M, chunk=1 << 15):
+    """Canonical projective coefficient vectors of length M, in batches.
+
+    Ordering: leading index ascending, then the remaining coefficients as a
+    base-Q integer (most significant digit right after the leading 1).
+    """
+    for lead in range(M):
+        total = Q ** (M - 1 - lead)
+        for start in range(0, total, chunk):
+            yield _coeff_rows(Q, M, lead, np.arange(start, min(start + chunk, total)))
+
+
+def _search_degree_k_factor(f, k):
+    """First canonical degree-k factor of f, or None."""
+    spec = f.field
+    monos = monomials(k)
+    # a factor of f vanishes nowhere off the curve f = 0
+    off_curve = point_coords(spec.order, np.nonzero(~zero_mask(f))[0])
+    for batch in _coeff_batches(spec.order, len(monos)):
+        candidates = batch
+        for x, y, z in zip(*off_curve):
+            values = form_values(spec, candidates.T, monos, x, y, z)
+            candidates = candidates[values != 0]
+            if not len(candidates):
+                break
+        for row in candidates:
+            g = TernaryForm(spec, k, {m: int(c) for m, c in zip(monos, row) if c})
+            if divides(g, f):
+                return g
+    return None
+
+
+def _oracle_factor(f):
+    """(first factor of least degree 1 .. d/2, every degree enumerated)."""
+    Q = f.field.order
+    complete = True
+    for k in range(1, f.degree // 2 + 1):
+        M = (k + 1) * (k + 2) // 2
+        if Q ** (M - 1) > BUDGET:
+            complete = False
+            continue
+        g = _search_degree_k_factor(f, k)
+        if g is not None:
+            return g, complete
+    return None, complete
 
 
 def _xyz(spec):
@@ -122,19 +177,6 @@ def test_restrictions_match_substitution():
             assert UniPoly(spec, row.tolist()) == want
 
 
-def _enumerated_status(f, budget):
-    """Status of the enumeration alone: every degree 1 .. d/2 within budget."""
-    Q = f.field.order
-    skipped = False
-    for k in range(1, f.degree // 2 + 1):
-        M = (k + 1) * (k + 2) // 2
-        if k > 1 and Q ** (M - 1) > budget:
-            skipped = True
-        elif _search_degree_k_factor(f, k)[0] is not None:
-            return "factor"
-    return "budget-exceeded" if skipped else "irreducible"
-
-
 @st.composite
 def _factor_cases(draw):
     """(f, reducible): a random form of degree 2..5, or a product g*h with
@@ -159,20 +201,19 @@ def _factor_cases(draw):
 @settings(max_examples=40, deadline=None)
 def test_certificate_matches_enumeration(case):
     f, reducible = case
-    res = reducibility_search(f, budget=BUDGET)
-    want = _enumerated_status(f, BUDGET)
-    if want == "budget-exceeded":
-        # the lines may close a level the enumeration skips, never a true factor
-        assert res.status in ("budget-exceeded", "irreducible")
-    else:
-        assert res.status == want
+    res = reducibility_search(f)
+    g, complete = _oracle_factor(f)
     if reducible:
         assert res.status != "irreducible"
+    # the linear factors are exactly the oracle's
+    assert (res.status == "factor") == (g is not None and g.degree == 1)
     if res.status == "factor":
-        assert divides(res.factor, f)
-        assert 1 <= res.factor.degree <= f.degree // 2
-    if res.status == "budget-exceeded":
-        assert res.skipped and all(2 <= k <= f.degree // 2 for k in res.skipped)
+        assert res.factor.degree == 1 and divides(res.factor, f)
+    if res.status == "open":
+        assert res.open and all(2 <= k <= f.degree // 2 for k in res.open)
+    if g is not None and g.degree >= 2:
+        # the lines never exclude the degree of a true factor
+        assert res.status == "open" and g.degree in res.open
 
 
 def test_product_of_conics_is_found_reducible():
@@ -183,8 +224,10 @@ def test_product_of_conics_is_found_reducible():
     x, y, z = _xyz(spec)
     f = (x * x + y * z) * (x * y + z * z)
     res = reducibility_search(f)
-    assert res.status == "factor"
-    assert res.factor.degree == 2 and divides(res.factor, f)
+    assert res.status == "open"
+    assert res.open == (2,)
+    g = _search_degree_k_factor(f, 2)
+    assert g is not None and divides(g, f)
 
 
 def test_double_root_at_base_point_is_not_used():
@@ -196,19 +239,19 @@ def test_double_root_at_base_point_is_not_used():
     w = FieldElem(spec, spec.generator)
     cubic = z * z * z - (x * x * x).scale(w) + x * y * z
     f = (x * x + y * z) * cubic
-    res = reducibility_search(f, budget=1)
-    assert res.status == "budget-exceeded"
-    assert res.skipped == (2,)
+    res = reducibility_search(f)
+    assert res.status == "open"
+    assert res.open == (2,)
 
 
 def test_fan_times_cubic_is_never_certified():
     f = secant_fan_curve(4, 5)[1] * sporadic_cubic(4)
     res = reducibility_search(f)
-    assert res.status == "budget-exceeded"
-    assert res.skipped == (3,)
+    assert res.status == "open"
+    assert res.open == (3,)
     status = absolute_irreducibility_status(f)
     assert status.status == "undetermined"
-    assert status.reason == "factor budget exceeded at degree 3"
+    assert status.reason == "lines left degree 3 open"
 
 
 def test_line_walk_stops_when_no_line_removes_a_degree(monkeypatch):
@@ -228,6 +271,84 @@ def test_line_walk_stops_when_no_line_removes_a_degree(monkeypatch):
     t0 = time.perf_counter()
     res = reducibility_search(f)
     assert time.perf_counter() - t0 < 1.0
-    assert res.status == "budget-exceeded"
-    assert res.skipped == (2,)
+    assert res.status == "open"
+    assert res.open == (2,)
     assert len(calls) == plane._LINE_STALL
+
+
+# ---------------------------------------------------------------------------
+# the partials rule: nonsingular curves
+# ---------------------------------------------------------------------------
+
+def test_hermitian_models_certify_by_their_partials():
+    # the partials of H1 and H2 are X^q, Y^q and Z^q up to order and sign;
+    # no line is tested, so q = 128 costs what q = 2 does
+    t0 = time.perf_counter()
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 27, 64, 128):
+        for variant in ("H1", "H2"):
+            h = hermitian_model(q, variant)
+            assert sorted(m for g in plane.partials(h) for m in g.terms) == [
+                (0, 0, q),
+                (0, q, 0),
+                (q, 0, 0),
+            ]
+            assert absolute_irreducibility_status(h).status == "absolutely-irreducible"
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_odd_half_curves_and_sporadic_quartics_certify():
+    for family, qs in (("odd-half", (7, 11, 13)), ("sporadic-quartic", (11, 19))):
+        for q in qs:
+            f = build(family, q)[1]
+            assert _partials_vanish_only_at_zero(f)
+            assert absolute_irreducibility_status(f).status == "absolutely-irreducible"
+
+
+def test_partials_rule_does_not_fire_on_reducible_forms():
+    # X^2 + Y^2 + Z^2 = (X + Y + Z)^2 over F_4 has zero partials, and
+    # X^2 + Y^2 = (X + iY)(X - iY) over F_9 has f_Z = 0: the lines decide
+    cases = (
+        (4, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1}),
+        (9, {(2, 0, 0): 1, (0, 2, 0): 1}),
+    )
+    for Q, terms in cases:
+        f = TernaryForm(field_of_order(Q), 2, terms)
+        assert not _partials_vanish_only_at_zero(f)
+        status = absolute_irreducibility_status(f)
+        assert status.status == "reducible"
+        assert divides(status.factor, f)
+
+
+@st.composite
+def _gradient_forms(draw):
+    """Sparse forms whose partials are often single powers: for each
+    variable w a term whose w-partial is a power of a variable v(w), w^d
+    when v(w) = w and v^(d-1) w otherwise, and sometimes one random term.
+    v is mostly a permutation; the rule needs p to divide the exponent
+    that every other partial of these terms carries."""
+    Q = draw(st.sampled_from((3, 4, 5, 7, 8, 9)))
+    spec = field_of_order(Q)
+    d = draw(st.integers(2, 5))
+    if draw(st.integers(0, 3)):
+        v = draw(st.permutations(range(3)))
+    else:
+        v = draw(st.lists(st.integers(0, 2), min_size=3, max_size=3))
+    terms = {}
+    for w in range(3):
+        m = [0, 0, 0]
+        m[v[w]] += d - 1
+        m[w] += 1
+        terms[tuple(m)] = draw(st.integers(1, Q - 1))
+    if not draw(st.integers(0, 3)):
+        terms[draw(st.sampled_from(monomials(d)))] = draw(st.integers(1, Q - 1))
+    return TernaryForm(spec, d, terms)
+
+
+@given(_gradient_forms())
+@settings(max_examples=40, deadline=None)
+def test_partials_rule_leaves_no_factor(f):
+    assume(_partials_vanish_only_at_zero(f))
+    g, complete = _oracle_factor(f)
+    assert complete
+    assert g is None
+    assert absolute_irreducibility_status(f).status == "absolutely-irreducible"

@@ -5,7 +5,7 @@ import pytest
 
 from hermplane.plane import (
     TernaryForm,
-    _coeff_batches,
+    _coeff_rows,
     _zero_hits,
     divides,
     form_values,
@@ -21,6 +21,7 @@ from hermplane.search import (
     positive_witness_search,
     projective_form_count,
 )
+from test_factor_certificate import _coeff_batches
 
 
 def test_projective_form_count():
@@ -121,3 +122,43 @@ def test_positive_witness_respects_budget_cap():
     assert not rep.complete
     assert rep.total_forms_scanned == 20000
     assert rep.irreducible_achievers == []
+
+
+@pytest.mark.parametrize("Q, M", [(49, 21), (64, 21), (81, 28)])
+def test_coeff_rows_match_python_int_digits(Q, M):
+    # place values Q^k past 2^63 (Q^12 at 49, Q^11 at 64, Q^10 at 81) are
+    # above every int64 index, so those digits are 0
+    rng = np.random.default_rng(Q)
+    s = np.concatenate(([0, 1, Q - 1, Q, 2**62, 2**63 - 1], rng.integers(0, 2**63 - 1, 64)))
+    for lead in (0, 3):
+        free = M - 1 - lead
+        want = [
+            [0] * lead + [1] + [int(v) // Q**k % Q for k in range(free - 1, -1, -1)] for v in s
+        ]
+        assert _coeff_rows(Q, M, lead, s).tolist() == want
+    small = [[1] + [0] * (M - 2) + [i] for i in range(5)]
+    assert _coeff_rows(Q, M, 0, np.arange(5)).tolist() == small
+
+
+@pytest.mark.parametrize("q, d", [(7, 6), (9, 5)])
+def test_zero_hits_count_the_rebuilt_form(q, d):
+    # high digits decoded over M - low monomials and the achiever decoded
+    # over M name the same form when Q^(M-2) is past int64
+    h = hermitian_model(q, "H2")
+    spec, monos = h.field, monomials(d)
+    points = point_coords(spec.order, hermitian_points(q, "H2"))
+    lead, offset, hits = next(_zero_hits(spec, monos, *points))
+    rows = np.arange(0, len(hits), 997)
+    for i, coeffs in zip(rows, _coeff_rows(spec.order, len(monos), lead, offset + rows)):
+        f = TernaryForm(spec, d, {m: int(c) for m, c in zip(monos, coeffs) if c})
+        assert intersection(h, f).count == hits[i]
+
+
+@pytest.mark.parametrize("q, d", [(7, 6), (9, 5)])
+def test_witnesses_past_int64_re_measure(q, d):
+    rep = positive_witness_search(q, d, limit=1, budget=10**5)
+    h = hermitian_model(q, "H2")
+    assert rep.achievers
+    for f in rep.achievers:
+        assert intersection(h, f).count == d * (q + 1)
+
