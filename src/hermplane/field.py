@@ -9,12 +9,16 @@ so two builds of the same field are identical.
 Multiplication runs through log/antilog tables built from the generator;
 addition is a table lookup for small fields and digit arithmetic otherwise.
 The tables come from F_p-linear algebra on digit vectors: multiplication by
-c is an m x m matrix over F_p (rows built from the companion matrix of the
-modulus), so the powers of c fill in log2(q) matrix doublings, and the first
-c in encoding order whose powers reach 1 only at q-1 is the generator.
-Addition is digit-wise in the base-p encoding, so the q x q add table of
-an odd-characteristic field is a Kronecker-style composite of the p x p
-table of F_p: each further digit is one broadcast of the table so far.
+c is an m x m matrix T over F_p (rows built from the companion matrix of the
+modulus).  The generator is the first c in encoding order that passes the
+order test c^((q-1)/r) != 1 for every prime r dividing q-1, where c^e is
+read off T^e by repeated squaring (a modular pow when m = 1); its powers
+then fill in log2(q) matrix doublings.  Addition is digit-wise in the
+base-p encoding, so the q x q add table of an odd-characteristic field is a
+Kronecker-style composite of the p x p table of F_p: each further digit is
+one broadcast of the table so far.  The table is built on first use, by a
+scalar add or an add of two arrays; adding a scalar to an array, or any add
+in a field too large for the table, works on the digits.
 Vectorized (numpy) variants of all operations are provided for the hot
 enumeration loops elsewhere in the package.
 """
@@ -25,7 +29,7 @@ from functools import lru_cache
 from math import gcd
 
 import numpy as np
-from sympy import factorint, isprime
+from sympy import factorint, isprime, primefactors
 
 MAX_DEGREE = 16
 MAX_ORDER = 1 << 24
@@ -85,6 +89,15 @@ def _decode(n, p, m):
     return out
 
 
+def _mod_p(a, p):
+    """a mod p in place, for a float64 array of integers in [0, 2^53)."""
+    t = a / p
+    np.floor(t, out=t)
+    t *= p
+    a -= t
+    return a
+
+
 def _encode(coeffs, p):
     n = 0
     for c in reversed(coeffs):
@@ -132,16 +145,19 @@ class FieldSpec:
     def _build_tables(self):
         p, m, q1 = self.p, self.m, self.order - 1
         pw = p ** np.arange(m, dtype=np.int64)
-        # multiplying a digit row by the companion matrix multiplies by x
-        comp = np.zeros((m, m), dtype=np.int64)
-        comp[:-1, 1:] = np.eye(m - 1, dtype=np.int64)
+        # multiplying a digit row by the companion matrix multiplies by x.
+        # The digit algebra runs on float64 (BLAS products), exact because a
+        # product of digit rows sums at most m*(p-1)^2 < 2^53.
+        comp = np.zeros((m, m))
+        comp[:-1, 1:] = np.eye(m - 1)
         comp[-1] = np.negative(self.modulus[:m]) % p
-        rows = np.zeros((q1, m), dtype=np.int64)
+        self.generator = self._find_generator(comp, pw)
+        rows = np.zeros((q1, m))
         rows[0, 0] = 1
-        self.generator = next(
-            c for c in range(1, self.order) if self._fill_powers(rows, c, comp, pw)
-        )
-        exp = rows @ pw
+        self._fill_powers(rows, self._mul_matrices([self.generator], comp)[0])
+        exp = (rows @ pw).astype(np.int64)
+        if np.flatnonzero(exp == 1).tolist() != [0]:
+            raise AssertionError(f"{self.generator} is not primitive in F_{self.order}")
         self._exp = np.concatenate((exp, exp, exp[:1]))
         log = np.full(self.order, -1, dtype=np.int64)
         log[exp] = np.arange(q1, dtype=np.int64)
@@ -151,46 +167,83 @@ class FieldSpec:
         del rows, exp  # before the digit tables: the peak of a large build
         self._dig = dig
         self._pw = pw
-        neg = np.negative(dig)
-        neg %= p
-        self._neg = neg @ pw
-        if p > 2 and m > 1 and self.order <= _ADD_TABLE_LIMIT:
-            # addition is digit-wise: with a = a0 + p*a', the table on k+1
-            # digits is (a0 + b0) mod p + p * add_k[a', b'], one broadcast
-            # per digit from the p x p table; only the last pass is q x q
-            digit = np.arange(p, dtype=np.int64)
-            add = one = np.add.outer(digit, digit) % p
-            for _ in range(m - 1):
-                n = len(add) * p
-                add = (one[None, :, None, :] + p * add[:, None, :, None]).reshape(n, n)
-            self._add_tab = add
-        else:
-            self._add_tab = None
+        # -1 is g^((q-1)/2) in odd characteristic and 1 in characteristic 2
+        self._neg = self._exp[log + (q1 // 2 if p > 2 else 0)]
+        self._neg[0] = 0
+        self._add_tab = None  # built by the first _add_table() call
 
-    def _fill_powers(self, rows, c, comp, pw):
-        """Write the digits of c^0 .. c^(q-2) into rows; False if c is not primitive.
+    def _mul_matrices(self, cs, comp):
+        """T[j], the F_p-linear map of multiplying by cs[j]: row i = digits of cs[j]*x^i."""
+        p = self.p
+        T = np.empty((len(cs), self.m, self.m))
+        T[:, 0] = np.asarray(cs)[:, None] // p ** np.arange(self.m) % p
+        for i in range(1, self.m):
+            T[:, i] = _mod_p(T[:, i - 1] @ comp, p)
+        return T
 
-        Multiplication by c is the F_p-linear map T with row i = digits of
-        c*x^i, so each doubling step rows[k:2k] = rows[:k] @ T, T = T @ T
-        doubles the powers known.  c is primitive exactly when no power in
-        rows[1:] is 1; the check runs per block, so a c of order n stops at
-        the doubling that reaches c^n.
+    def _find_generator(self, comp, pw):
+        """The first c in encoding order with c^((q-1)/r) != 1 for each prime r | q-1.
+
+        For m = 1 the test is a modular pow.  For m > 1 the candidates start
+        at p, since the prime subfield's orders divide p-1, and go in batches
+        of 2, 4, 8, ...: c^e is the digit row of 1 times T_c^e.  Each
+        candidate's matrix X stacks T_c^(2^i) over the rows of c^(e mod 2^i),
+        one per exponent, so one product X @ T_c^(2^i) both squares T_c and
+        steps the rows of the exponents with bit i set.
+        """
+        p, m, q1 = self.p, self.m, self.order - 1
+        exps = [q1 // r for r in primefactors(q1)]
+        if m == 1:
+            return next(c for c in range(1, p) if all(pow(c, e, p) != 1 for e in exps))
+        steps = [
+            np.array([True] * m + [e >> i & 1 == 1 for e in exps])[:, None]
+            for i in range(max(exps).bit_length())
+        ]
+        lo, n = p, 2
+        while lo < self.order:
+            cs = np.arange(lo, min(lo + n, self.order))
+            X = np.zeros((len(cs), m + len(exps), m))
+            X[:, :m] = self._mul_matrices(cs, comp)
+            X[:, m:, 0] = 1
+            for step in steps:
+                X = np.where(step, _mod_p(X @ X[:, :m], p), X)
+            hits = np.flatnonzero(~np.any(X[:, m:] @ pw == 1, axis=1))
+            if len(hits):
+                return int(cs[hits[0]])
+            lo, n = lo + n, 2 * n
+        raise AssertionError("no generator found")  # unreachable
+
+    def _fill_powers(self, rows, T):
+        """Write the digits of c^0 .. c^(q-2) into rows, T the matrix of c.
+
+        Each doubling step rows[k:2k] = rows[:k] @ T, T = T @ T doubles
+        the powers known.
         """
         p = self.p
-        T = np.empty((self.m, self.m), dtype=np.int64)
-        T[0] = c // pw % p
-        for i in range(1, self.m):
-            T[i] = T[i - 1] @ comp % p
         k = 1
         while k < len(rows):
             blk = rows[k : 2 * k]
             np.matmul(rows[: len(blk)], T, out=blk)
-            blk %= p
-            if np.any(blk @ pw == 1):
-                return False
-            T = T @ T % p
+            _mod_p(blk, p)
+            T = _mod_p(T @ T, p)
             k += len(blk)
-        return True
+
+    def _add_table(self):
+        """The q x q add table of an odd extension field, built on first use.
+
+        Addition is digit-wise: with a = a0 + p*a', the table on k+1 digits
+        is (a0 + b0) mod p + p * add_k[a', b'], one broadcast per digit from
+        the p x p table; only the last pass is q x q.
+        """
+        if self._add_tab is None:
+            p = self.p
+            digit = np.arange(p, dtype=np.int64)
+            add = one = np.add.outer(digit, digit) % p
+            for _ in range(self.m - 1):
+                n = len(add) * p
+                add = (one[None, :, None, :] + p * add[:, None, :, None]).reshape(n, n)
+            self._add_tab = add
+        return self._add_tab
 
     # -- scalar arithmetic on encodings -------------------------------------
 
@@ -199,8 +252,8 @@ class FieldSpec:
             return a ^ b
         if self.m == 1:
             return (a + b) % self.p
-        if self._add_tab is not None:
-            return int(self._add_tab[a, b])
+        if self.order <= _ADD_TABLE_LIMIT:
+            return int(self._add_table()[a, b])
         return int(((self._dig[a] + self._dig[b]) % self.p) @ self._pw)
 
     def neg(self, a):
@@ -246,34 +299,30 @@ class FieldSpec:
             return a ^ b
         if self.m == 1:
             return (a + b) % self.p
-        if self._add_tab is not None:
-            return self._add_tab[a, b]
+        if self.order <= _ADD_TABLE_LIMIT and np.ndim(a) and np.ndim(b):
+            return self._add_table()[a, b]
+        # a 0-d operand, or a field too large for the table: O(n*m) on digits
         return ((self._dig[a] + self._dig[b]) % self.p) @ self._pw
 
     def neg_v(self, a):
         return self._neg[a]
 
     def mul_v(self, a, b):
-        a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
-        out = np.zeros(a.shape, dtype=np.int64)
-        nz = (a != 0) & (b != 0)
-        out[nz] = self._exp[self._log[a[nz]] + self._log[b[nz]]]
-        return out
+        return self.monomial_v(a, ((b, 1),))
 
     def pow_v(self, a, e):
+        """a^e elementwise for any integer e; 0^e = 0 for e != 0 and 1 for e = 0."""
         if e == 0:
             return np.ones_like(a)
-        out = np.zeros_like(a)
-        nz = a != 0
-        out[nz] = self._exp[(self._log[a[nz]] * e) % (self.order - 1)]
-        return out
+        return self.monomial_v(1, ((a, e),))
 
     def monomial_v(self, c, factors):
         """c * x1^k1 * x2^k2 * ... over broadcastable arrays of encodings.
 
-        `factors` holds (x, k) pairs with k >= 0, and 0^0 = 1.  The product
-        is summed in the log domain and read back with one exp gather; it is
-        zero where c = 0 or where an x with k > 0 is 0.
+        `factors` holds (x, k) pairs with any integer k; where x is 0, a
+        nonzero k makes the product 0 and k = 0 leaves it alone (0^0 = 1).
+        The product is summed in the log domain and read back with one exp
+        gather; it is zero where c = 0 or where an x with k != 0 is 0.
         """
         operands = [(c, 1), *((x, k) for x, k in factors if k)]
         e = np.zeros(np.broadcast(*(x for x, _ in operands)).shape, dtype=np.int64)

@@ -211,16 +211,21 @@ def serre_split_threshold(d: int) -> int:
 # sweeping over prime powers
 # ---------------------------------------------------------------------------
 
-def prime_powers(lo: int, hi: int) -> list[int]:
-    """All prime powers in [lo, hi]."""
+def _prime_power_factors(lo: int, hi: int) -> list[tuple[int, int, int]]:
+    """(q, p, m) for every prime power q = p^m in [lo, hi], ascending in q."""
     out = []
     for p in sympy.primerange(2, hi + 1):
-        v = p
+        v, m = p, 1
         while v <= hi:
             if v >= lo:
-                out.append(v)
-            v *= p
+                out.append((v, p, m))
+            v, m = v * p, m + 1
     return sorted(out)
+
+
+def prime_powers(lo: int, hi: int) -> list[int]:
+    """All prime powers in [lo, hi]."""
+    return [q for q, _, _ in _prime_power_factors(lo, hi)]
 
 
 def survey_split(d: int, q_max: int, gcd_filter: int | None = None):
@@ -234,8 +239,8 @@ def survey_split(d: int, q_max: int, gcd_filter: int | None = None):
     if q_max > 4096:
         raise ValueError("survey capped at q_max <= 4096")
     rows = []
-    for q in prime_powers(2, q_max):
+    for q, p, m in _prime_power_factors(2, q_max):
         if gcd_filter is not None and gcd(q, gcd_filter) != 1:
             continue
-        rows.append((q, len(_splitting_witnesses(FieldSpec(*prime_power(q)), d))))
+        rows.append((q, len(_splitting_witnesses(FieldSpec(p, m), d))))
     return rows

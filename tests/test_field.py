@@ -1,7 +1,9 @@
+from math import gcd
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import factorint
+from sympy import factorint, isprime, primitive_root
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_irreducible_p, gf_mul, gf_rem, gf_strip
 
@@ -140,9 +142,13 @@ def test_vector_ops_match_scalar_ops():
     for i in range(16):
         assert add[i] == spec.add(int(a[i]), int(b[i]))
         assert mul[i] == spec.mul(int(a[i]), int(b[i]))
-    p3 = spec.pow_v(a, 3)
-    for i in range(16):
-        assert p3[i] == spec.pow(int(a[i]), 3)
+    assert mul[0] == mul[15] == 0  # 0 * 15 and 15 * 0
+    for e in (3, 1, 0, -1, -5, 15, -16):
+        pe = spec.pow_v(a, e)
+        for i in range(16):
+            # any exponent for nonzero x; 0^0 = 1 and 0^e = 0 otherwise
+            want = spec.pow(int(a[i]), e) if a[i] or e >= 0 else 0
+            assert pe[i] == want, (e, i)
     # c * a^i * b^j on the 16 x 16 grid, with 0^0 = 1
     for c in (0, 1, 7):
         for i, j in ((0, 0), (2, 0), (0, 3), (1, 4)):
@@ -221,6 +227,25 @@ def test_arithmetic_matches_galoistools(Q):
         assert spec.mul(x, y) == t == want_mul
 
 
+@pytest.mark.parametrize("p, root", [(2161, 23), (409, 21), (2287, 19), (1559, 19)])
+def test_prime_field_generator_is_least_primitive_root(p, root):
+    # the primes below 2500 with the largest least primitive roots
+    assert make_field(p, 1).generator == primitive_root(p) == root
+
+
+# the extension fields of the d = 6 survey: gcd(q, 30) = 1, q <= 2500
+SEXTIC_EXTENSION_FIELDS = [Q for Q in _prime_powers(2500) if gcd(Q, 30) == 1 and not isprime(Q)]
+
+
+@pytest.mark.parametrize("Q", SEXTIC_EXTENSION_FIELDS)
+def test_extension_generator_matches_power_walk(Q):
+    [(p, m)] = factorint(Q).items()
+    spec = FieldSpec(p, m)  # uncached, as the survey builds it
+    g = _gf_modulus(p, m)
+    orders = [_gf_order(_gf(c, p), g, p) for c in range(1, spec.generator + 1)]
+    assert orders[-1] == Q - 1 and max(orders[:-1]) < Q - 1
+
+
 def test_generator_and_orders_match_power_walk():
     rng = np.random.default_rng(0)
     for Q in _prime_powers(1024):
@@ -249,11 +274,15 @@ def test_add_table_is_digitwise_sum(p, m):
     want = np.zeros((Q, Q), dtype=np.int64)
     for i in range(m):
         want += (digits[:, i, None] + digits[:, i]) % p * p**i
+    a = np.arange(Q, dtype=np.int64)
+    assert spec._add_tab is None  # built on first use
+    assert not spec.add_v(a, spec.neg_v(a)).any()
     assert spec._add_tab.dtype == np.int64
     assert np.array_equal(spec._add_tab, want)
-    a = np.arange(Q, dtype=np.int64)
     assert np.array_equal(spec._add_tab[0], a)
-    assert not spec.add_v(a, spec.neg_v(a)).any()
+    # a scalar operand takes the digit path, and agrees with the table
+    for c in (0, 1, p - 1, p, Q - 1):
+        assert np.array_equal(spec.add_v(a, c), want[:, c])
 
 
 def test_exp_table_is_periodic():

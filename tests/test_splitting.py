@@ -1,8 +1,9 @@
 import pytest
 
 from hermplane.crosscheck import fiber_survey
-from hermplane.field import field_of_order, make_field
+from hermplane.field import FieldSpec, field_of_order, make_field
 from hermplane.splitting import (
+    _splitting_witnesses,
     count_splitting_A,
     exists_split_pe,
     exists_split_pe_plus_one,
@@ -185,6 +186,13 @@ def test_survey_builds_uncached_fields():
         assert [q for q, _ in rows] == prime_powers(2, 200)
         for q, n in rows:
             assert count_splitting_A(q, d).count == n, (q, d)
+
+
+def test_survey_fields_build_no_add_table():
+    # t + 1 adds a scalar, which takes the digit path: no q x q table
+    spec = FieldSpec(7, 4)
+    assert _splitting_witnesses(spec, 6) == count_splitting_A(2401, 6).witnesses
+    assert spec._add_tab is None
 
 
 def test_survey_cap():
