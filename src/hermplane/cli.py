@@ -16,7 +16,7 @@ import json
 import sys
 
 from .constructions import ConstructionError, FAMILIES, build, measure
-from .field import FieldError, prime_power
+from .field import MAX_ORDER, FieldError, prime_power
 from .plane import hermitian_model, hermitian_points, intersection, points_on
 from .search import SearchBudgetError, exhaustive_negative_search
 from .serialize import (
@@ -297,6 +297,8 @@ def main(argv=None):
     try:
         q = getattr(args, "q", None)
         if q is not None:
+            if q > MAX_ORDER:
+                raise ValueError(f"--q {q} exceeds the largest field order {MAX_ORDER}")
             try:
                 prime_power(q)
             except FieldError:

@@ -19,8 +19,7 @@ import numpy as np
 
 from .field import (
     FieldElem,
-    FieldSpec,
-    field_of_order,
+    ambient,
     norm_to_subfield,
     primitive_elements,
     subfield_elements,
@@ -57,11 +56,6 @@ class ConstructionDescriptor:
             "model": self.model,
             "parameters": {k: ser(v) for k, v in self.parameters.items()},
         }
-
-
-def ambient(q: int) -> FieldSpec:
-    """The canonical F_{q^2}."""
-    return field_of_order(q * q)
 
 
 # ---------------------------------------------------------------------------

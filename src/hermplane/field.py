@@ -21,6 +21,10 @@ scalar add or an add of two arrays; adding a scalar to an array, or any add
 in a field too large for the table, works on the digits.
 Vectorized (numpy) variants of all operations are provided for the hot
 enumeration loops elsewhere in the package.
+
+The number theory (primality of p, the primes of q-1, the prime power
+behind q) is trial division: no order above MAX_ORDER = 2^24 is ever
+factored, so divisors up to 4096 suffice.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from functools import lru_cache
 from math import gcd
 
 import numpy as np
-from sympy import factorint, isprime, primefactors
 
 MAX_DEGREE = 16
 MAX_ORDER = 1 << 24
@@ -119,12 +122,12 @@ class FieldSpec:
     """
 
     def __init__(self, p: int, m: int):
-        if not isprime(p):
-            raise FieldError(f"characteristic {p} is not prime")
         if not 1 <= m <= MAX_DEGREE:
             raise FieldError(f"extension degree {m} out of range [1, {MAX_DEGREE}]")
         if p ** m > MAX_ORDER:
             raise FieldError(f"field order {p}^{m} exceeds {MAX_ORDER}")
+        if prime_factors(p) != [p]:
+            raise FieldError(f"characteristic {p} is not prime")
         self.p = p
         self.m = m
         self.order = p ** m
@@ -192,7 +195,7 @@ class FieldSpec:
         steps the rows of the exponents with bit i set.
         """
         p, m, q1 = self.p, self.m, self.order - 1
-        exps = [q1 // r for r in primefactors(q1)]
+        exps = [q1 // r for r in prime_factors(q1)]
         if m == 1:
             return next(c for c in range(1, p) if all(pow(c, e, p) != 1 for e in exps))
         steps = [
@@ -375,18 +378,51 @@ def make_field(p: int, m: int) -> FieldSpec:
     return FieldSpec(p, m)
 
 
+def prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n, ascending; none for n < 2.
+
+    Trial division, by 2 and then the odd numbers up to sqrt(n): 4096
+    is enough for any n <= MAX_ORDER, the only sizes it is used for.
+    """
+    if not isinstance(n, (int, np.integer)):
+        raise FieldError(f"{n} is not an integer")
+    n = int(n)
+    out = []
+    r = 2
+    while r * r <= n:
+        if n % r == 0:
+            out.append(r)
+            while n % r == 0:
+                n //= r
+        r += 1 if r == 2 else 2
+    if n > 1:
+        out.append(n)
+    return out
+
+
 def prime_power(q: int) -> tuple[int, int]:
-    """(p, m) with q = p^m; a FieldError unless q is a prime power >= 2."""
-    fac = factorint(q) if q >= 2 else {}
-    if len(fac) != 1:
+    """(p, m) with q = p^m; a FieldError unless q is a prime power in [2, MAX_ORDER]."""
+    if q > MAX_ORDER:
+        raise FieldError(f"field order {q} exceeds {MAX_ORDER}")
+    primes = prime_factors(q)
+    if len(primes) != 1:
         raise FieldError(f"{q} is not a prime power")
-    [(p, m)] = fac.items()
+    [p] = primes
+    m = 1
+    while p ** m < q:
+        m += 1
     return p, m
 
 
 def field_of_order(q: int) -> FieldSpec:
     """The canonical field with exactly q elements."""
     return make_field(*prime_power(q))
+
+
+def ambient(q: int) -> FieldSpec:
+    """The canonical F_{q^2}, for a prime power q."""
+    p, m = prime_power(q)
+    return make_field(p, 2 * m)
 
 
 # ---------------------------------------------------------------------------

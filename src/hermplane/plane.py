@@ -54,7 +54,7 @@ from math import isqrt
 
 import numpy as np
 
-from .field import FieldElem, FieldError, FieldSpec
+from .field import FieldElem, FieldError, FieldSpec, ambient
 from .unipoly import UniPoly, factor_degrees, is_squarefree
 
 # largest field whose plane `evaluate_all` builds: F_{64^2}, 16.8 M points
@@ -328,9 +328,7 @@ def points_on(f: TernaryForm) -> list[ProjPoint]:
 
 @lru_cache(maxsize=None)
 def _hermitian_cached(q: int, variant: str) -> TernaryForm:
-    from .field import field_of_order
-
-    spec = field_of_order(q * q)
+    spec = ambient(q)
     if variant == "H1":
         terms = {(q + 1, 0, 0): 1, (0, q, 1): -1, (0, 1, q): -1}
     elif variant == "H2":

@@ -26,7 +26,6 @@ from .constructions import (
     monomial_fast_count,
     odd_half_params,
 )
-from .crosscheck import fiber_survey
 from .field import (
     FieldElem,
     frobenius,
@@ -277,6 +276,9 @@ def check_sextic_survey():
     The zero set is asserted twice: by the splitting engine's sweep and
     by the independent fiber count of `crosscheck`.
     """
+    # crosscheck imports sympy (about 0.4 s); only this check loads it
+    from .crosscheck import fiber_survey
+
     t0 = time.monotonic()
     rec1 = _rec("sextic-survey-n6-1877", 0, count_splitting_A(1877, 6).count, t0)
     t0 = time.monotonic()

@@ -16,12 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import factorial, gcd, isqrt
 
 import numpy as np
-import sympy
 
-from .field import FieldElem, FieldSpec, field_of_order, prime_power
+from .field import FieldElem, FieldSpec, ambient, field_of_order, prime_power
 
 
 @dataclass
@@ -134,7 +134,7 @@ def rho_parametrization(q: int, d: int, rho):
     A T_i^d + T_i + 1 = 0 for both i.  Returns None for degenerate rho
     (rho^d = rho, rho^{d-1} = 1, or rho^d = 1, which would force T1 = 0).
     """
-    spec = field_of_order(q * q)
+    spec = ambient(q)
     r = spec.elem(rho).val
     rd = spec.pow(r, d)
     den = spec.sub(rd, r)
@@ -153,7 +153,7 @@ def pe_transform_roots(q: int, d: int, rho):
     """For d = p^e, the full root set {T1 + a/B : a in F_{p^e}} of
     A t^d + t + 1, via B = -(rho^d - rho)/(rho - 1)^{d+1} with
     A = -B^{d-1}.  Returns None on degenerate rho."""
-    spec = field_of_order(q * q)
+    spec = ambient(q)
     parts = rho_parametrization(q, d, rho)
     if parts is None:
         return None
@@ -212,9 +212,18 @@ def serre_split_threshold(d: int) -> int:
 # ---------------------------------------------------------------------------
 
 def _prime_power_factors(lo: int, hi: int) -> list[tuple[int, int, int]]:
-    """(q, p, m) for every prime power q = p^m in [lo, hi], ascending in q."""
+    """(q, p, m) for every prime power q = p^m in [lo, hi], ascending in q.
+
+    The primes come from a sieve of Eratosthenes on [0, hi].
+    """
+    if hi < 2:
+        return []
+    sieve = bytearray([0, 0]) + bytearray([1]) * (hi - 1)
+    for i in range(2, isqrt(hi) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, hi + 1, i)))
     out = []
-    for p in sympy.primerange(2, hi + 1):
+    for p in compress(range(hi + 1), sieve):
         v, m = p, 1
         while v <= hi:
             if v >= lo:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -171,6 +175,7 @@ def test_intersect_rejects_out_of_range_coefficient(capsys, tmp_path):
         ({"p": 3, "m": 2, "degree": 1, "terms": [{"i": 1, "j": 0, "k": 0}]}, "'coeff'"),
         ([3, 2], "not a JSON object"),
         ({"p": 3, "m": 2, "degree": 1, "terms": [7]}, "not a JSON object"),
+        ({"p": 3.0, "m": 2, "degree": 1, "terms": []}, "9.0 is not an integer"),
     ],
 )
 def test_intersect_rejects_malformed_curve_file(capsys, tmp_path, data, key):
@@ -200,6 +205,29 @@ def test_q_must_be_a_prime_power(capsys, command, q):
     assert code == 2
     assert out == ""
     assert err == f"error: --q must be a prime power >= 2 (got {q})\n"
+
+
+@pytest.mark.parametrize("q", [16777259, 2**40])
+@pytest.mark.parametrize("command", _Q_COMMANDS, ids=lambda c: c[0])
+def test_q_above_the_largest_field_order_is_refused(capsys, command, q):
+    # 16777259 is prime: the refusal names the bound, not "prime power"
+    code, out, err = run(capsys, *command, "--q", str(q))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --q {q} exceeds the largest field order 16777216\n"
+
+
+# split-count works in F_4099 itself; intersect stops at its missing file
+@pytest.mark.parametrize(
+    "command",
+    [c for c in _Q_COMMANDS if c[0] not in ("intersect", "split-count")],
+    ids=lambda c: c[0],
+)
+def test_q_whose_square_is_too_large_is_refused(capsys, command):
+    code, out, err = run(capsys, *command, "--q", "4099")
+    assert code == 2
+    assert out == ""
+    assert err == "error: field order 4099^2 exceeds 16777216\n"
 
 
 def test_split_count(capsys):
@@ -256,3 +284,24 @@ def test_unknown_command_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])
     assert exc.value.code == 2
+
+
+_IMPORT_GUARD = """
+import sys
+import hermplane.cli
+assert "sympy" not in sys.modules, "import hermplane.cli loaded sympy"
+from hermplane import reproduce
+recs = reproduce.run_all("sextic-survey")
+print(len(recs), all(r["pass"] for r in recs), "sympy" in sys.modules)
+"""
+
+
+def test_cli_import_leaves_sympy_out():
+    # sympy is loaded only by the crosscheck record of the sextic survey
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", _IMPORT_GUARD],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == "3 True True\n"

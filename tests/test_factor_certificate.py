@@ -10,7 +10,7 @@ degree k that vanishes nowhere off the curve for divisibility.
 import time
 
 import numpy as np
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from hermplane.constructions import build, secant_fan_curve, sporadic_cubic
 from hermplane.field import FieldElem, field_of_order
@@ -344,8 +344,12 @@ def _gradient_forms(draw):
     return TernaryForm(spec, d, terms)
 
 
+# Most drawn forms fail the rule's premise, so Hypothesis' filter health
+# check fails the test at random (about one run in eight) on no fault.
 @given(_gradient_forms())
-@settings(max_examples=40, deadline=None)
+@settings(
+    max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much]
+)
 def test_partials_rule_leaves_no_factor(f):
     assume(_partials_vanish_only_at_zero(f))
     g, complete = _oracle_factor(f)

@@ -1,3 +1,4 @@
+from functools import cache
 from math import gcd
 
 import numpy as np
@@ -16,6 +17,8 @@ from hermplane.field import (
     make_field,
     norm_preimages,
     norm_to_subfield,
+    prime_factors,
+    prime_power,
     primitive_elements,
     subfield_elements,
     trace_to_subfield,
@@ -60,6 +63,49 @@ def test_field_of_order_rejects_non_prime_powers():
         field_of_order(6)
     with pytest.raises(FieldError):
         field_of_order(12)
+
+
+# -- the trial-division number theory against sympy's factorint ---------------
+
+@cache
+def _factorint_oracle():
+    ns = [*range(2, 1 << 16), 1 << 24, 16777213, 4093**2, (1 << 12) * 3]
+    return {n: factorint(n) for n in ns}
+
+
+def test_prime_factors_match_factorint():
+    assert prime_factors(0) == prime_factors(1) == []
+    for n, fac in _factorint_oracle().items():
+        assert prime_factors(n) == sorted(fac), n
+
+
+def test_prime_power_matches_factorint():
+    for n, fac in _factorint_oracle().items():
+        if len(fac) == 1:
+            assert prime_power(n) == next(iter(fac.items())), n
+        else:
+            with pytest.raises(FieldError, match="not a prime power"):
+                prime_power(n)
+    for n in (-4, -2, 0, 1):
+        with pytest.raises(FieldError, match="not a prime power"):
+            prime_power(n)
+
+
+def test_prime_power_refuses_orders_above_the_bound():
+    assert prime_power(1 << 24) == (2, 24)
+    with pytest.raises(FieldError, match="field order 16777217 exceeds 16777216"):
+        prime_power((1 << 24) + 1)
+
+
+def test_field_spec_checks_bounds_before_primality():
+    with pytest.raises(FieldError, match="exceeds"):
+        FieldSpec((1 << 24) + 1, 1)
+    with pytest.raises(FieldError, match="out of range"):
+        FieldSpec(4, 17)
+    with pytest.raises(FieldError, match="not prime"):
+        FieldSpec(4093 * 4099, 1)
+    with pytest.raises(FieldError, match="not an integer"):
+        FieldSpec(3.0, 2)
 
 
 def test_field_specs_are_cached():

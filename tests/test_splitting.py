@@ -1,4 +1,5 @@
 import pytest
+from sympy import factorint
 
 from hermplane.crosscheck import fiber_survey
 from hermplane.field import FieldSpec, field_of_order, make_field
@@ -168,6 +169,17 @@ def test_serre_split_thresholds():
 def test_prime_powers():
     assert prime_powers(2, 10) == [2, 3, 4, 5, 7, 8, 9]
     assert prime_powers(120, 130) == [121, 125, 127, 128]
+
+
+def test_prime_powers_match_factorint():
+    expected = [n for n in range(2, 1 << 16) if len(factorint(n)) == 1]
+    assert prime_powers(-5, (1 << 16) - 1) == expected
+    assert prime_powers(1000, 2000) == [n for n in expected if 1000 <= n <= 2000]
+    assert prime_powers(2, 1) == prime_powers(-3, -1) == []
+    top = range((1 << 24) - 16, (1 << 24) + 1)
+    assert prime_powers(top[0], top[-1]) == [n for n in top if len(factorint(n)) == 1]
+    assert prime_powers(4093**2, 4093**2) == [4093**2]
+    assert prime_powers((1 << 12) * 3, (1 << 12) * 3) == []
 
 
 def test_survey_rows_and_filter():
