@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import sys
+from functools import cache
 
 from .constructions import ConstructionError, FAMILIES, build, measure
 from .field import MAX_ORDER, FieldError, prime_power
@@ -213,7 +214,9 @@ def cmd_reproduce_paper(args):
 # parser
 # ---------------------------------------------------------------------------
 
+@cache
 def _build_parser():
+    """The parser, built once per process; `main` dispatches to cmd_<command>."""
     parser = argparse.ArgumentParser(
         prog="hermplane",
         description="plane curves with many rational Hermitian intersections",
@@ -230,7 +233,6 @@ def _build_parser():
     p.add_argument("--model", choices=("H1", "H2"), default="H1")
     p.add_argument("--emit-points", action="store_true")
     common(p)
-    p.set_defaults(fn=cmd_hermitian_points)
 
     p = sub.add_parser("intersect", help="intersect a curve file with a Hermitian model")
     p.add_argument("--curve", required=True)
@@ -238,9 +240,8 @@ def _build_parser():
     p.add_argument("--model", choices=("H1", "H2"), default="H1")
     p.add_argument("--emit-points", action="store_true")
     common(p)
-    p.set_defaults(fn=cmd_intersect)
 
-    for name, fn in (("construct", cmd_construct), ("verify", cmd_verify)):
+    for name in ("construct", "verify"):
         p = sub.add_parser(name, help=f"{name} a curve from a named family")
         p.add_argument("--family", choices=FAMILIES, required=True)
         p.add_argument("--q", type=int, required=True)
@@ -249,25 +250,21 @@ def _build_parser():
         if name == "construct":
             p.add_argument("--output", help="write the curve to this file")
         common(p)
-        p.set_defaults(fn=fn)
 
     p = sub.add_parser("split-count", help="count splitting values A for A t^d + t + 1")
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--d", type=int, required=True)
     common(p)
-    p.set_defaults(fn=cmd_split_count)
 
     p = sub.add_parser("survey", help="splitting counts over a range of prime powers")
     p.add_argument("--d", type=int, required=True)
     p.add_argument("--q-max", type=int, required=True)
     p.add_argument("--gcd-filter", type=int, default=None)
     common(p)
-    p.set_defaults(fn=cmd_survey)
 
     p = sub.add_parser("thresholds", help="genus and guaranteed-splitting thresholds")
     p.add_argument("--d", type=int, nargs="+", default=[5, 6])
     common(p)
-    p.set_defaults(fn=cmd_thresholds)
 
     p = sub.add_parser(
         "negative-search", help="exhaustively scan forms of degree d for achievers"
@@ -278,7 +275,6 @@ def _build_parser():
     p.add_argument("--budget", type=int, default=None)
     p.add_argument("--emit-points", action="store_true", help="include achiever forms")
     common(p)
-    p.set_defaults(fn=cmd_negative_search)
 
     p = sub.add_parser(
         "reproduce-paper", help="run the full verification matrix"
@@ -286,14 +282,12 @@ def _build_parser():
     p.add_argument("--only", help="run only check groups whose name contains this")
     p.add_argument("--timings", action="store_true", help="include per-claim millis")
     common(p)
-    p.set_defaults(fn=cmd_reproduce_paper)
 
     return parser
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         q = getattr(args, "q", None)
         if q is not None:
@@ -303,7 +297,7 @@ def main(argv=None):
                 prime_power(q)
             except FieldError:
                 raise ValueError(f"--q must be a prime power >= 2 (got {q})") from None
-        return args.fn(args)
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (ValueError, SearchBudgetError, OSError) as exc:
         # ConstructionError and FieldError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)

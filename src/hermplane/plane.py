@@ -35,15 +35,21 @@ nonzero single terms, powers of X, Y and Z up to order (H1, H2, the
 odd-half curves), vanish together only at 0, so the curve has no
 singular point over the algebraic closure; a nonsingular plane curve is
 absolutely irreducible, because two components would meet in a singular
-point.  Every other form goes to the Q^2+Q+1 lines of the plane, each
-parametrized as {A + tB : t in F_Q} and B (`line_points`).  A restriction
-to a line factors the way the form does: if f = gh then f|_L = g|_L h|_L.
-So f has a linear factor only where it vanishes on a whole line
-(`vanishing_lines`: one kernel call over the plane, then each line
-gathers its points), and when d <= Q a factor of degree k makes k a sum
-of degrees of irreducible factors of every squarefree restriction f|_L
-(read off by `unipoly.factor_degrees`).  The degrees the lines cannot
-exclude are reported open: the certificate then decides nothing.
+point.  Every other form goes to the Q^2+Q+1 lines of the plane.  Lines
+are the points of the dual plane: line i is aX + bY + cZ = 0 with
+(a, b, c) = `point_coords` of i, so points and lines share one
+enumeration, and `line_points` parametrizes a line as {A + tB : t in F_Q}
+and B.  A restriction to a line factors the way the form does: if f = gh
+then f|_L = g|_L h|_L.  So f has a linear factor only where it vanishes
+on a whole line.  `vanishing_lines` finds these lines by incidence votes:
+the line [a:b:c] passes through P exactly when (a, b, c) lies on the line
+with coefficients P, so each zero of f votes for the Q+1 points of its
+dual line, and a line vanishes where it has Q+1 votes; the work grows
+with the zeros, not with the Q^3 incidences of the plane.  When d <= Q a
+factor of degree k makes k a sum of degrees of irreducible factors of
+every squarefree restriction f|_L (read off by `unipoly.factor_degrees`).
+The degrees the lines cannot exclude are reported open: the certificate
+then decides nothing.
 """
 
 from __future__ import annotations
@@ -60,8 +66,6 @@ from .unipoly import UniPoly, factor_degrees, is_squarefree
 # largest field whose plane `evaluate_all` builds: F_{64^2}, 16.8 M points
 _MAX_PLANE_ORDER = 4096
 
-# elements of the largest (forms x lines x points) array of a line test
-_LINE_CHUNK = 1 << 16
 # restrictions interpolated per kernel call while walking the lines
 _LINE_BATCH = 32
 # usable lines in a row that remove no surviving degree before the walk
@@ -223,14 +227,13 @@ class ProjPoint:
 
 def point_at_index(spec: FieldSpec, idx: int) -> ProjPoint:
     """The idx-th point of the canonical enumeration."""
-    Q = spec.order
-    one, zero = spec.one(), spec.zero()
-    if idx < Q * Q:
-        return ProjPoint(FieldElem(spec, idx // Q), FieldElem(spec, idx % Q), one)
-    idx -= Q * Q
-    if idx < Q:
-        return ProjPoint(FieldElem(spec, idx), one, zero)
-    return ProjPoint(one, zero, zero)
+    return _proj_points(spec, [idx])[0]
+
+
+def _proj_points(spec: FieldSpec, idx) -> list[ProjPoint]:
+    """The points of enumeration indices idx, built from `point_coords`."""
+    coords = zip(*(v.tolist() for v in point_coords(spec.order, idx)))
+    return [ProjPoint(*(FieldElem(spec, v) for v in xyz)) for xyz in coords]
 
 
 def point_coords(Q: int, idx):
@@ -319,7 +322,7 @@ def _rational_points(f: TernaryForm) -> np.ndarray:
 
 def points_on(f: TernaryForm) -> list[ProjPoint]:
     """All F_{q^2}-rational points of the curve f = 0."""
-    return [point_at_index(f.field, int(i)) for i in _rational_points(f)]
+    return _proj_points(f.field, _rational_points(f))
 
 
 # ---------------------------------------------------------------------------
@@ -419,7 +422,7 @@ def intersection(
     idx = idx[values == 0]
     report = IntersectionReport(q, f.degree, len(idx), degenerate=(f == h))
     if with_points:
-        report.points = [point_at_index(spec, int(i)) for i in idx]
+        report.points = _proj_points(spec, idx)
     return report
 
 
@@ -510,72 +513,62 @@ def line_count(Q: int) -> int:
     return Q * Q + Q + 1
 
 
-def _line_frames(spec: FieldSpec, idx):
-    """Points A, B (six coordinate arrays) of lines idx; line = {A + tB} + {B}.
+def line_points(spec: FieldSpec, a, b, c):
+    """Coordinate arrays (X, Y, Z) of shape (..., Q+1): the points of the
+    lines aX + bY + cZ = 0, for coefficients (a, b, c) given as the chart
+    representatives of `point_coords`.
 
-    Lines 0..Q^2-1 are z = ux + vy with (u, v) = divmod(i, Q), A = (1, 0, u),
-    B = (0, 1, v); lines Q^2..Q^2+Q-1 are y = ux with A = (1, u, 0),
-    B = (0, 0, 1); the last line is x = 0 with A = (0, 1, 0), B = (0, 0, 1).
+    Column 0 is B, column 1 + t is A + tB for t in encoding order, with
+    the frame A, B = (1, 0, -a), (0, 1, -b) when c = 1; (1, -a, 0),
+    (0, 0, 1) for (a, 1, 0); and (0, 1, 0), (0, 0, 1) for X = 0.
     """
-    Q = spec.order
-    idx = np.asarray(idx, dtype=np.int64)
-    plane = idx < Q * Q
-    last = idx == Q * Q + Q
-    u = np.where(plane, idx // Q, idx - Q * Q)
+    affine, last = c != 0, (b == 0) & (c == 0)
+    na = spec.neg_v(a)
     A = (
         (~last).astype(np.int64),
-        np.where(plane, 0, np.where(last, 1, u)),
-        np.where(plane, u, 0),
+        np.where(affine, 0, np.where(last, 1, na)),
+        np.where(affine, na, 0),
     )
-    B = (np.zeros_like(idx), plane.astype(np.int64), np.where(plane, idx % Q, 1))
-    return A, B
-
-
-def line_points(spec: FieldSpec, idx):
-    """Coordinate arrays (X, Y, Z) of shape (len(idx), Q+1) of lines idx.
-
-    Column 0 is B, column 1 + t is A + tB for t in encoding order.
-    """
-    A, B = _line_frames(spec, idx)
+    B = (np.zeros_like(a), affine.astype(np.int64), np.where(affine, spec.neg_v(b), 1))
     t = np.arange(spec.order, dtype=np.int64)
     return tuple(
-        np.concatenate((b[:, None], spec.add_v(a[:, None], spec.mul_v(t, b[:, None]))), axis=1)
-        for a, b in zip(A, B)
+        np.concatenate((v[..., None], spec.add_v(u[..., None], spec.mul_v(t, v[..., None]))), axis=-1)
+        for u, v in zip(A, B)
     )
 
 
 def line_form(spec: FieldSpec, i: int) -> TernaryForm:
-    """The linear form of line i of the `line_points` enumeration."""
-    Q = spec.order
-    if i < Q * Q:
-        u, v = divmod(i, Q)
-        terms = {(1, 0, 0): u, (0, 1, 0): v, (0, 0, 1): spec.neg(1)}
-    elif i < Q * Q + Q:
-        terms = {(1, 0, 0): i - Q * Q, (0, 1, 0): spec.neg(1)}
-    else:
-        terms = {(1, 0, 0): 1}
-    return TernaryForm(spec, 1, terms)
+    """The linear form of line i: its coefficients are `point_coords` of i."""
+    coeffs = (int(v) for v in point_coords(spec.order, i))
+    return TernaryForm(spec, 1, dict(zip(monomials(1), coeffs)))
 
 
 def vanishing_lines(spec: FieldSpec, monos, batch) -> np.ndarray:
     """(len(batch), Q^2+Q+1) mask: form r vanishes at every point of line l.
 
     `batch` holds coefficient rows over `monos`.  Each form is evaluated
-    once at every point of the plane; a line's entry gathers the zeros at
-    its Q+1 points (`point_index` of `line_points`).  The lines go in
-    chunks so no gather exceeds about _LINE_CHUNK elements, and at least
-    one line at a time.
+    once at every point of the plane.  The line [a:b:c] passes through P
+    exactly when (a, b, c) lies on the line with coefficients P, so the
+    lines through a zero are the points of its dual line (`point_index`
+    of `line_points`), listed once per distinct zero of the batch: at most
+    (Q^2+Q+1) x (Q+1) indices, what gathering every line costs.  Each
+    (form, zero) pair votes for its Q+1 lines, one line of each zero at a
+    time, and a line vanishes where it has Q+1 votes.  So the votes of
+    one step and the counts have at most as many entries as the
+    (len(batch), Q^2+Q+1) zero mask.
     """
     batch = np.asarray(batch, dtype=np.int64)
     Q = spec.order
     n = line_count(Q)  # the plane has as many points as lines
     zero = form_values(spec, batch.T[:, :, None], monos, *point_coords(Q, np.arange(n))) == 0
-    out = np.empty((len(batch), n), dtype=bool)
-    step = max(1, _LINE_CHUNK // (len(batch) * (Q + 1)))
-    for lo in range(0, n, step):
-        idx = np.arange(lo, min(lo + step, n))
-        out[:, lo : lo + len(idx)] = zero[:, point_index(spec, *line_points(spec, idx))].all(axis=-1)
-    return out
+    forms, points = np.nonzero(zero)
+    zeros, which = np.unique(points, return_inverse=True)
+    lines = point_index(spec, *line_points(spec, *point_coords(Q, zeros)))
+    row = forms * n  # start of each (form, zero) pair's form row in the flat counts
+    counts = np.zeros(zero.size, dtype=np.int64)
+    for column in lines.T:
+        np.add.at(counts, row + column[which], 1)
+    return counts.reshape(zero.shape) == Q + 1
 
 
 def _restrictions(f: TernaryForm, idx) -> np.ndarray:
@@ -588,7 +581,8 @@ def _restrictions(f: TernaryForm, idx) -> np.ndarray:
     """
     spec, d = f.field, f.degree
     Q = spec.order
-    values = form_values(spec, tuple(f.terms.values()), tuple(f.terms), *line_points(spec, idx))
+    coords = line_points(spec, *point_coords(Q, idx))
+    values = form_values(spec, tuple(f.terms.values()), tuple(f.terms), *coords)
     t = np.arange(Q, dtype=np.int64)
     lead = values[:, 0]
     P = spec.add_v(values[:, 1:], spec.neg_v(spec.mul_v(lead[:, None], spec.pow_v(t, d))))
@@ -604,15 +598,16 @@ def _line_surviving_degrees(f: TernaryForm, levels) -> list[int]:
 
     A line is used when f|_L is squarefree: g(t) = f(A + tB) squarefree of
     degree d, or of degree d - 1, where B is a simple root and adds one
-    linear factor.  Lines are walked in a fixed seeded order, until no
-    degree survives or _LINE_STALL used lines in a row removed none; the
-    degrees still open are returned, so stopping early never certifies
-    anything.
+    linear factor.  Lines are walked in golden-ratio order (line i at the
+    fractional part of 0.618... * i), which spreads the lines of each
+    batch over the enumeration, until no degree survives or _LINE_STALL
+    used lines in a row removed none; the degrees still open are
+    returned, so stopping early never certifies anything.
     """
     spec, d = f.field, f.degree
     survivors = set(levels)
     stall = 0
-    order = np.random.default_rng(0).permutation(line_count(spec.order))
+    order = np.argsort(np.arange(line_count(spec.order)) * 0.6180339887498949 % 1, kind="stable")
     for lo in range(0, len(order), _LINE_BATCH):
         if not survivors or stall >= _LINE_STALL:
             break

@@ -10,8 +10,9 @@ tables of form values and compares them, one comparison per form and
 point.  An achiever, rebuilt from its index (`plane._coeff_rows`), that
 shares no component with the Hermitian model is classified: for
 2 <= d <= Q the achievers that vanish on a whole line are reducible by
-one line test (`vanishing_lines`), and the rest, lines included, go
-through the factor certificate `reducibility_search`.  An achiever the
+one line test over the batch (`vanishing_lines`, which counts the zeros
+of each achiever on the lines through them), and the rest, lines
+included, go through the factor certificate `reducibility_search`.  An achiever the
 certificate leaves open is in neither class, and an irreducible one is
 accepted only after `intersection` re-measures it to d(q+1).
 """

@@ -287,9 +287,16 @@ def test_unknown_command_is_usage_error():
 
 
 _IMPORT_GUARD = """
-import sys
+import contextlib, io, sys
 import hermplane.cli
 assert "sympy" not in sys.modules, "import hermplane.cli loaded sympy"
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [
+        hermplane.cli.main(argv.split())
+        for argv in ("negative-search --q 2 --d 3", "reproduce-paper --only sporadic-cubics")
+    ]
+assert codes == [0, 0], codes
+assert "numpy.random" not in sys.modules, "the form scan loaded numpy.random"
 from hermplane import reproduce
 recs = reproduce.run_all("sextic-survey")
 print(len(recs), all(r["pass"] for r in recs), "sympy" in sys.modules)
@@ -297,7 +304,8 @@ print(len(recs), all(r["pass"] for r in recs), "sympy" in sys.modules)
 
 
 def test_cli_import_leaves_sympy_out():
-    # sympy is loaded only by the crosscheck record of the sextic survey
+    # sympy is loaded only by the crosscheck record of the sextic survey,
+    # and numpy.random by no form scan or line certificate
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run(

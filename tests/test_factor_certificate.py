@@ -19,7 +19,6 @@ from hermplane.plane import (
     ProjPoint,
     TernaryForm,
     _coeff_rows,
-    _line_frames,
     _partials_vanish_only_at_zero,
     _restrictions,
     absolute_irreducibility_status,
@@ -31,6 +30,7 @@ from hermplane.plane import (
     line_points,
     monomials,
     point_coords,
+    point_index,
     reducibility_search,
     vanishing_lines,
     zero_mask,
@@ -94,16 +94,22 @@ def _xyz(spec):
 
 
 def test_lines_cover_the_plane():
+    # line i has the coefficients of point i, and the lines through point j
+    # are the points of the dual line j: the incidence vote relies on both
     for Q in (4, 9):
         spec = field_of_order(Q)
         n = line_count(Q)
-        X, Y, Z = line_points(spec, np.arange(n))
+        X, Y, Z = line_points(spec, *point_coords(Q, np.arange(n)))
         assert X.shape == (n, Q + 1)
-        lines, incidences = set(), {}
+        lines, incidences, through = set(), {}, {}
         for i in range(n):
             g = line_form(spec, i)
+            coeffs = [int(v) for v in point_coords(Q, i)]
+            assert [g.terms.get(m, 0) for m in monomials(1)] == coeffs
             coeffs, monos = tuple(g.terms.values()), tuple(g.terms)
             assert not form_values(spec, coeffs, monos, X[i], Y[i], Z[i]).any()
+            on = form_values(spec, coeffs, monos, *point_coords(Q, np.arange(n))) == 0
+            assert sorted(point_index(spec, X[i], Y[i], Z[i]).tolist()) == np.flatnonzero(on).tolist()
             keys = {
                 ProjPoint(*(FieldElem(spec, int(v[i, j])) for v in (X, Y, Z))).key()
                 for j in range(Q + 1)
@@ -112,8 +118,14 @@ def test_lines_cover_the_plane():
             lines.add(frozenset(keys))
             for k in keys:
                 incidences[k] = incidences.get(k, 0) + 1
+            for j in point_index(spec, X[i], Y[i], Z[i]).tolist():
+                through.setdefault(j, set()).add(i)
         assert len(lines) == n
         assert len(incidences) == n and set(incidences.values()) == {Q + 1}
+        for j in range(n):
+            dual = point_index(spec, *line_points(spec, *point_coords(Q, [j])))
+            assert dual.shape == (1, Q + 1)
+            assert set(dual[0].tolist()) == through[j]
 
 
 def test_vanishing_lines_are_the_linear_factors():
@@ -129,7 +141,7 @@ def test_vanishing_lines_are_the_linear_factors():
 def test_vanishing_lines_match_evaluation_on_each_line():
     # the oracle evaluates every form at the Q + 1 points of every line
     rng = np.random.default_rng(3)
-    for Q, d in ((4, 2), (9, 3), (16, 2)):
+    for Q, d in ((4, 2), (9, 3), (16, 2), (27, 2), (49, 3)):
         spec = field_of_order(Q)
         monos, rest = monomials(d), monomials(d - 1)
         rows = rng.integers(0, Q, (12, len(monos))).tolist()
@@ -138,9 +150,8 @@ def test_vanishing_lines_match_evaluation_on_each_line():
             f = g * TernaryForm(spec, d - 1, dict(zip(rest, rng.integers(0, Q, len(rest)).tolist())))
             rows.append([f.terms.get(m, 0) for m in monos])
         batch = np.array(rows)
-        values = form_values(
-            spec, batch.T[:, :, None, None], monos, *line_points(spec, np.arange(line_count(Q)))
-        )
+        coords = line_points(spec, *point_coords(Q, np.arange(line_count(Q))))
+        values = form_values(spec, batch.T[:, :, None, None], monos, *coords)
         mask = vanishing_lines(spec, monos, batch)
         assert np.array_equal(mask, ~values.any(axis=-1))
         assert mask[12:].any(axis=1).all()
@@ -154,6 +165,16 @@ def test_a_line_is_absolutely_irreducible():
         assert absolute_irreducibility_status(g).status == "absolutely-irreducible"
 
 
+def test_sporadic_quartic_q25_certifies_in_seconds():
+    # the vote lists the 626 lines through each of the 623 zeros instead
+    # of gathering the 626 points of each of the 391 251 lines
+    f = build("sporadic-quartic", 25)[1]
+    assert not _partials_vanish_only_at_zero(f)
+    t0 = time.perf_counter()
+    assert absolute_irreducibility_status(f).status == "absolutely-irreducible"
+    assert time.perf_counter() - t0 < 3.0
+
+
 def test_restrictions_match_substitution():
     # f(A + tB) expanded with UniPoly arithmetic, against the interpolation
     for Q, d in ((9, 4), (16, 5), (16, 16), (25, 3)):
@@ -164,9 +185,10 @@ def test_restrictions_match_substitution():
         idx = rng.choice(line_count(Q), 12, replace=False)
         idx[-1] = line_count(Q) - 1
         rows = _restrictions(f, idx)
-        A, B = _line_frames(spec, idx)
+        # column 0 of a line's points is B, column 1 is A + 0B
+        frames = line_points(spec, *point_coords(Q, idx))
         for r, row in enumerate(rows):
-            coords = [UniPoly(spec, [int(a[r]), int(b[r])]) for a, b in zip(A, B)]
+            coords = [UniPoly(spec, [int(v[r, 1]), int(v[r, 0])]) for v in frames]
             want = UniPoly(spec, [])
             for m, c in f.terms.items():
                 term = UniPoly.constant(spec, c)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 from sympy import factorint
 
 from hermplane.crosscheck import fiber_survey
@@ -38,6 +39,12 @@ def test_count_matches_brute_force():
             rep = count_splitting_A(q, d)
             assert rep.witnesses == _brute_witnesses(q, d), (q, d)
             assert rep.count == len(rep.witnesses)
+
+
+@given(st.sampled_from(prime_powers(2, 32)), st.integers(2, 7))
+@settings(max_examples=40, deadline=None)
+def test_count_matches_brute_force_at_random(q, d):
+    assert count_splitting_A(q, d).witnesses == _brute_witnesses(q, d)
 
 
 def test_count_matches_independent_fiber_count():
