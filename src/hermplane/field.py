@@ -6,19 +6,18 @@ the monic irreducible polynomial of degree m with the smallest encoding, and
 the generator is the smallest-encoded element of full multiplicative order,
 so two builds of the same field are identical.
 
-Multiplication runs through log/antilog tables built from the generator;
-addition is a table lookup for small fields and digit arithmetic otherwise.
+Multiplication runs through log/antilog tables built from the generator g.
 The tables come from F_p-linear algebra on digit vectors: multiplication by
 c is an m x m matrix T over F_p (rows built from the companion matrix of the
 modulus).  The generator is the first c in encoding order that passes the
 order test c^((q-1)/r) != 1 for every prime r dividing q-1, where c^e is
 read off T^e by repeated squaring (a modular pow when m = 1); its powers
-then fill in log2(q) matrix doublings.  Addition is digit-wise in the
-base-p encoding, so the q x q add table of an odd-characteristic field is a
-Kronecker-style composite of the p x p table of F_p: each further digit is
-one broadcast of the table so far.  The table is built on first use, by a
-scalar add or an add of two arrays; adding a scalar to an array, or any add
-in a field too large for the table, works on the digits.
+then fill in log2(q) matrix doublings.  Addition is XOR in characteristic
+2 and a sum mod p in a prime field.  Odd extension fields add by Zech's
+logarithms (Lidl and Niederreiter, Finite Fields): g^i + g^j =
+g^(i + Z(j-i)) with Z(k) = log(1 + g^k), and 1 + g^k differs from g^k only
+in the lowest base-p digit.  log 0 = 2(q-1)+1 points into q-1 zeros after
+the exp table, so a = 0, b = 0 and a + b = 0 come out of the same lookups.
 Vectorized (numpy) variants of all operations are provided for the hot
 enumeration loops elsewhere in the package.
 
@@ -36,7 +35,6 @@ import numpy as np
 
 MAX_DEGREE = 16
 MAX_ORDER = 1 << 24
-_ADD_TABLE_LIMIT = 4096
 
 
 class FieldError(ValueError):
@@ -118,7 +116,8 @@ class FieldSpec:
     Use :func:`make_field`; constructing directly bypasses the cache that
     guarantees a single shared instance per (p, m).  Sweeps that visit
     each field once (``splitting.survey_split``) construct directly, so
-    their tables are freed as they go.
+    their tables are freed as they go.  Every table (exp, log, negation,
+    and the Zech table of an odd extension field) has O(q) entries.
     """
 
     def __init__(self, p: int, m: int):
@@ -159,21 +158,32 @@ class FieldSpec:
         rows[0, 0] = 1
         self._fill_powers(rows, self._mul_matrices([self.generator], comp)[0])
         exp = (rows @ pw).astype(np.int64)
+        del rows  # the peak of a large build
         if np.flatnonzero(exp == 1).tolist() != [0]:
             raise AssertionError(f"{self.generator} is not primitive in F_{self.order}")
-        self._exp = np.concatenate((exp, exp, exp[:1]))
-        log = np.full(self.order, -1, dtype=np.int64)
+        # log 0: added to any log in [0, q-1), it lands in the zero tail
+        zero_log = 2 * q1 + 1
+        self._exp = np.concatenate((exp, exp, exp[:1], np.zeros(q1, dtype=np.int64)))
+        log = np.empty(self.order, dtype=np.int64)
         log[exp] = np.arange(q1, dtype=np.int64)
+        log[0] = zero_log
         self._log = log
-        dig = np.zeros((self.order, m), dtype=np.int64)
-        dig[exp] = rows
-        del rows, exp  # before the digit tables: the peak of a large build
-        self._dig = dig
         self._pw = pw
         # -1 is g^((q-1)/2) in odd characteristic and 1 in characteristic 2
         self._neg = self._exp[log + (q1 // 2 if p > 2 else 0)]
-        self._neg[0] = 0
-        self._add_tab = None  # built by the first _add_table() call
+        self._dig = None  # no digit table; perfbench/spans.py still sizes it by name
+        self._add_tab = None
+        if p > 2 and m > 1:
+            # Zech table, read at k + zero_log for k = lb - la.  Nonzero a, b
+            # read Z(k), or zero_log where 1 + g^k = 0; a = 0 reads
+            # lb - zero_log, so that la + it = lb; b = 0 reads 0; a = b = 0
+            # reads Z(0), which lands in the zero tail.
+            low = exp % p
+            one_plus = log[exp - low + (low + 1) % p]
+            zech = np.zeros(4 * q1 + 3, dtype=np.int64)
+            zech[:q1] = np.arange(-zero_log, q1 - zero_log)
+            zech[q1 + 2 : 3 * q1 + 1] = np.concatenate((one_plus[1:], one_plus))
+            self._add_tab = zech
 
     def _mul_matrices(self, cs, comp):
         """T[j], the F_p-linear map of multiplying by cs[j]: row i = digits of cs[j]*x^i."""
@@ -231,23 +241,6 @@ class FieldSpec:
             T = _mod_p(T @ T, p)
             k += len(blk)
 
-    def _add_table(self):
-        """The q x q add table of an odd extension field, built on first use.
-
-        Addition is digit-wise: with a = a0 + p*a', the table on k+1 digits
-        is (a0 + b0) mod p + p * add_k[a', b'], one broadcast per digit from
-        the p x p table; only the last pass is q x q.
-        """
-        if self._add_tab is None:
-            p = self.p
-            digit = np.arange(p, dtype=np.int64)
-            add = one = np.add.outer(digit, digit) % p
-            for _ in range(self.m - 1):
-                n = len(add) * p
-                add = (one[None, :, None, :] + p * add[:, None, :, None]).reshape(n, n)
-            self._add_tab = add
-        return self._add_tab
-
     # -- scalar arithmetic on encodings -------------------------------------
 
     def add(self, a, b):
@@ -255,9 +248,8 @@ class FieldSpec:
             return a ^ b
         if self.m == 1:
             return (a + b) % self.p
-        if self.order <= _ADD_TABLE_LIMIT:
-            return int(self._add_table()[a, b])
-        return int(((self._dig[a] + self._dig[b]) % self.p) @ self._pw)
+        la = self._log.item(a)
+        return self._exp.item(la + self._add_tab.item(self._log.item(b) - la + 2 * self.order - 1))
 
     def neg(self, a):
         return int(self._neg[a])
@@ -302,10 +294,15 @@ class FieldSpec:
             return a ^ b
         if self.m == 1:
             return (a + b) % self.p
-        if self.order <= _ADD_TABLE_LIMIT and np.ndim(a) and np.ndim(b):
-            return self._add_table()[a, b]
-        # a 0-d operand, or a field too large for the table: O(n*m) on digits
-        return ((self._dig[a] + self._dig[b]) % self.p) @ self._pw
+        la = self._log[a]
+        s = np.empty(np.broadcast(a, b).shape, dtype=np.int64)
+        s[...] = self._log[b]
+        s -= la
+        s += 2 * self.order - 1
+        self._add_tab.take(s, out=s, mode="clip")
+        s += la
+        self._exp.take(s, out=s, mode="clip")
+        return s
 
     def neg_v(self, a):
         return self._neg[a]
@@ -350,11 +347,13 @@ class FieldSpec:
             coeffs = [c % self.p for c in x] + [0] * (self.m - len(x))
             return FieldElem(self, _encode(coeffs, self.p))
         if isinstance(x, (int, np.integer)):
-            if 0 <= x < self.order:
-                return FieldElem(self, int(x))
-            # integers outside the encoding range embed via the prime subfield
-            return FieldElem(self, int(x) % self.p)
+            return FieldElem(self, self.from_int(x))
         raise FieldError(f"cannot build a field element from {x!r}")
+
+    def from_int(self, x) -> int:
+        """An integer's encoding: itself in [0, q), else x mod p (the prime subfield)."""
+        x = int(x)
+        return x if 0 <= x < self.order else x % self.p
 
     def zero(self):
         return FieldElem(self, 0)

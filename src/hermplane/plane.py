@@ -100,9 +100,7 @@ class TernaryForm:
         for (i, j, k), c in terms.items():
             if i < 0 or j < 0 or k < 0 or i + j + k != degree:
                 raise ValueError(f"exponents {(i, j, k)} do not sum to degree {degree}")
-            v = field_spec.elem(c).val if not isinstance(c, int) else c
-            if not 0 <= v < field_spec.order:
-                v = v % field_spec.p
+            v = field_spec.from_int(c) if isinstance(c, (int, np.integer)) else field_spec.elem(c).val
             if v:
                 clean[(i, j, k)] = v
         self.field = field_spec

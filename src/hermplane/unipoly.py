@@ -23,14 +23,7 @@ class UniPoly:
     __slots__ = ("spec", "coeffs")
 
     def __init__(self, spec: FieldSpec, coeffs):
-        vals = []
-        for c in coeffs:
-            if isinstance(c, FieldElem):
-                if c.spec is not spec:
-                    raise FieldError("coefficient from a different field")
-                vals.append(c.val)
-            else:
-                vals.append(int(c) % spec.order if 0 <= int(c) < spec.order else int(c) % spec.p)
+        vals = [spec.elem(c).val if isinstance(c, FieldElem) else spec.from_int(c) for c in coeffs]
         while vals and vals[-1] == 0:
             vals.pop()
         self.spec = spec

@@ -1,5 +1,7 @@
+import importlib.util
 from functools import cache
 from math import gcd
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -306,33 +308,74 @@ def test_generator_and_orders_match_power_walk():
             assert spec.element_order(c) == _gf_order(_gf(c, p), g, p)
 
 
-# every odd-characteristic extension field small enough for an add table
+# every odd-characteristic extension field up to 4096, checked on all pairs
 ADD_TABLE_FIELDS = [
     (p, m) for Q in _prime_powers(4096) for p, m in factorint(Q).items() if p > 2 and m > 1
 ]
 
 
+def _digitwise_sum(spec, a, b):
+    """a + b coordinate by coordinate, for rows of coordinates a and b."""
+    return (np.asarray(a) + b) % spec.p @ spec.p ** np.arange(spec.m)
+
+
 @pytest.mark.parametrize("p, m", ADD_TABLE_FIELDS)
 def test_add_table_is_digitwise_sum(p, m):
-    spec = FieldSpec(p, m)  # uncached, so the table is freed after the test
+    spec = FieldSpec(p, m)  # uncached, so its tables are freed after the test
     Q = spec.order
-    digits = np.array([spec.to_coeffs(a) for a in range(Q)], dtype=np.int64)
-    want = np.zeros((Q, Q), dtype=np.int64)
-    for i in range(m):
-        want += (digits[:, i, None] + digits[:, i]) % p * p**i
     a = np.arange(Q, dtype=np.int64)
-    assert spec._add_tab is None  # built on first use
-    assert not spec.add_v(a, spec.neg_v(a)).any()
-    assert spec._add_tab.dtype == np.int64
-    assert np.array_equal(spec._add_tab, want)
-    assert np.array_equal(spec._add_tab[0], a)
-    # a scalar operand takes the digit path, and agrees with the table
+    digits = np.array([spec.to_coeffs(x) for x in range(Q)], dtype=np.int64)
+    for lo in range(0, Q, 128):  # all Q^2 pairs, 128 rows at a time
+        rows = slice(lo, lo + 128)
+        want = _digitwise_sum(spec, digits[rows, None], digits)
+        assert np.array_equal(spec.add_v(a[rows, None], a), want)
+    # 0-d operands on either side, and the scalar add, agree
     for c in (0, 1, p - 1, p, Q - 1):
-        assert np.array_equal(spec.add_v(a, c), want[:, c])
+        want = _digitwise_sum(spec, digits, digits[c])
+        for x in (c, np.int64(c), np.array(c)):
+            assert np.array_equal(spec.add_v(a, x), want)
+            assert np.array_equal(spec.add_v(x, a), want)
+        assert [spec.add(x, c) for x in range(Q)] == want.tolist()
+        assert [spec.add(c, x) for x in range(Q)] == want.tolist()
+    assert spec.add(0, 0) == 0 and spec.add_v(np.int64(0), 0) == 0
+    assert not spec.add_v(a, spec.neg_v(a)).any()
+    assert all(spec.add(x, spec.neg(x)) == 0 for x in range(Q))
+
+
+@pytest.mark.parametrize("p, m", [(3, 8), (5, 6), (7, 5)])
+def test_add_above_4096_is_digitwise_sum(p, m):
+    spec = FieldSpec(p, m)
+    rng = np.random.default_rng(p)
+    a, b = rng.integers(0, spec.order, (2, 4096))
+    a[:256] = 0
+    b[256:512] = 0
+    a[512:768] = b[512:768] = 0
+    b[768:1024] = spec.neg_v(a[768:1024])
+    coords = np.array([spec.to_coeffs(x) for x in np.concatenate((a, b)).tolist()])
+    want = _digitwise_sum(spec, coords[:4096], coords[4096:])
+    assert not want[512:1024].any()
+    assert np.array_equal(spec.add_v(a, b), want)
+    assert [spec.add(x, y) for x, y in zip(a.tolist(), b.tolist())] == want.tolist()
+    assert np.array_equal(spec.add_v(a, np.int64(b[0])), _digitwise_sum(spec, coords[:4096], coords[4096]))
+    assert np.array_equal(spec.add_v(np.int64(a[-1]), b), _digitwise_sum(spec, coords[4095], coords[4096:]))
 
 
 def test_exp_table_is_periodic():
     for Q in _prime_powers(64) + ARITH_FIELDS:
         spec = field_of_order(Q)
-        k = np.arange(len(spec._exp))
-        assert np.array_equal(spec._exp, spec._exp[k % (Q - 1)])
+        n = 2 * (Q - 1) + 1  # the periodic part, then Q - 1 zeros
+        assert np.array_equal(spec._exp[:n], spec._exp[np.arange(n) % (Q - 1)])
+        assert len(spec._exp) == n + Q - 1 and not spec._exp[n:].any()
+
+
+def test_benchmark_trace_reads_every_table():
+    # perfbench/spans.py sizes a field's tables by attribute name in traced
+    # runs; a renamed or dropped table would break those runs only.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    loader = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(loader)
+    loader.loader.exec_module(spans)
+    for p, m in [(2, 4), (7, 1), (7, 4)]:
+        spec = FieldSpec(p, m)
+        tables = [t for t in vars(spec).values() if isinstance(t, np.ndarray)]
+        assert spans._table_bytes(spec) == sum(t.nbytes for t in tables) > 0

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from sympy import factorint
@@ -208,10 +209,11 @@ def test_survey_builds_uncached_fields():
 
 
 def test_survey_fields_build_no_add_table():
-    # t + 1 adds a scalar, which takes the digit path: no q x q table
+    # every table of a survey field is O(q): no q x q add table
     spec = FieldSpec(7, 4)
     assert _splitting_witnesses(spec, 6) == count_splitting_A(2401, 6).witnesses
-    assert spec._add_tab is None
+    tables = [t for t in vars(spec).values() if isinstance(t, np.ndarray)]
+    assert tables and max(t.size for t in tables) <= 4 * spec.order + 3
 
 
 def test_survey_cap():
