@@ -14,6 +14,7 @@ through it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import lru_cache
 
 import numpy as np
 
@@ -280,9 +281,18 @@ def monomial_fast_count(q: int, d: int, alpha: FieldElem) -> int:
     if d < 2:
         raise ConstructionError("d must be >= 2")
     A = norm_to_subfield(alpha)
+    images = fiber_images(spec, d, _subfield_units(q))
+    return (q + 1) * int(np.count_nonzero(images == A.val))
+
+
+@lru_cache(maxsize=None)
+def _subfield_units(q: int) -> np.ndarray:
+    """The encodings of F_q^* inside F_{q^2}, ascending and read-only."""
+    spec = ambient(q)
     x = np.arange(1, spec.order, dtype=np.int64)
-    t = x[spec.pow_v(x, q) == x]  # F_q^* inside F_{q^2}
-    return (q + 1) * int(np.count_nonzero(fiber_images(spec, d, t) == A.val))
+    t = x[spec.pow_v(x, q) == x]
+    t.flags.writeable = False
+    return t
 
 
 # ---------------------------------------------------------------------------

@@ -289,13 +289,15 @@ class FieldSpec:
 
     # -- vectorized arithmetic on int64 arrays of encodings ------------------
 
-    def add_v(self, a, b):
+    def add_v(self, a, b, out=None):
+        """a + b elementwise; `out` (an int64 array of the broadcast shape,
+        which may be a itself) takes the sum in place of a new array."""
         if self.p == 2:
-            return a ^ b
+            return np.bitwise_xor(a, b, out=out)
         if self.m == 1:
-            return (a + b) % self.p
+            return np.remainder(np.add(a, b, out=out), self.p, out=out)
         la = self._log[a]
-        s = np.empty(np.broadcast(a, b).shape, dtype=np.int64)
+        s = np.empty(np.broadcast(a, b).shape, dtype=np.int64) if out is None else out
         s[...] = self._log[b]
         s -= la
         s += 2 * self.order - 1
@@ -327,11 +329,16 @@ class FieldSpec:
         operands = [(c, 1), *((x, k) for x, k in factors if k)]
         e = np.zeros(np.broadcast(*(x for x, _ in operands)).shape, dtype=np.int64)
         for x, k in operands:
-            e += self._log[x] * k
+            lx = self._log[x]
+            if k != 1:
+                lx *= k
+            e += lx
+            del lx  # before the next gather, so one log array is live at a time
         np.remainder(e, self.order - 1, out=e)
         self._exp.take(e, out=e, mode="clip")
         for x, _ in operands:
-            e *= x != 0
+            if isinstance(x, np.ndarray) or not x:  # a nonzero scalar leaves e as it is
+                e *= x != 0
         return e
 
     # -- element construction -------------------------------------------------
@@ -443,7 +450,7 @@ class FieldElem:
                 raise FieldError("mixed-field operands")
             return other.val
         if isinstance(other, (int, np.integer)):
-            return int(other) % self.spec.p
+            return self.spec.from_int(other)
         return NotImplemented
 
     def __add__(self, other):
@@ -499,9 +506,7 @@ class FieldElem:
         if isinstance(other, FieldElem):
             return self.spec is other.spec and self.val == other.val
         if isinstance(other, (int, np.integer)):
-            return self.val == int(other) % self.spec.p and (
-                self.val < self.spec.p
-            )
+            return self.val == self.spec.from_int(other)
         return NotImplemented
 
     def __hash__(self):

@@ -17,6 +17,11 @@ Q x Q grid, (x, 1, 0) and (1, 0, 0); `point_coords` maps enumeration
 indices back to coordinates and `point_index` coordinates to indices, so
 point subsets (the Hermitian points, the points off a curve, the points
 of a line) are evaluated or looked up without building `ProjPoint`s.
+Large point sets are walked in blocks of about _CHUNK = 2^16 points, so
+the kernel's int64 temporaries stay near L2 size whatever q is: the plane
+(`_plane_blocks`, behind `evaluate_all`, `zero_mask` and the zero mask of
+`vanishing_lines`) by runs of whole rows of the grid with z the scalar 1,
+and the Hermitian points by runs of their affine indices.
 
 The Hermitian points are not found on the grid but by solving the chart
 z = 1 (`hermitian_points`): neither model has a term with both X and Y,
@@ -24,7 +29,9 @@ so h(x, y, 1) = a(x) + b(y), two kernel calls over F_Q, and the zeros are
 the pairs with b(y) = -a(x), read off a stable sort of b.  That is O(q^3)
 work against the grid's O(q^4).  `intersection` measures a form against
 a Hermitian model, its only first argument, by evaluating the form on
-these q^3+1 points; `points_on` of a model, the `hermitian-points` count
+these q^3+1 points: the affine ones block by block as (x, y, 1) with x, y
+read off the index, then the q+1 (H2) or 1 (H1) points at infinity, all
+of them (x, 1, 0).  `points_on` of a model, the `hermitian-points` count
 and the negative search read the same set.  The full plane
 (`evaluate_all`, `zero_mask`) serves every other form and is the
 independent count the verification matrix checks the point set against;
@@ -65,6 +72,12 @@ from .unipoly import UniPoly, factor_degrees, is_squarefree
 
 # largest field whose plane `evaluate_all` builds: F_{64^2}, 16.8 M points
 _MAX_PLANE_ORDER = 4096
+
+# points per block when a form is evaluated on a point set: a block's int64
+# arrays are 0.5 MiB, and the few a term holds fit a 4 MiB L2 cache.  Of
+# 2^12 .. 2^17, 2^15 and 2^16 evaluated the q = 64 Hermitian points
+# fastest, and 2^16 the q = 64 plane
+_CHUNK = 1 << 16
 
 # restrictions interpolated per kernel call while walking the lines
 _LINE_BATCH = 32
@@ -130,7 +143,14 @@ class TernaryForm:
             return NotImplemented
         if self.field is not other.field or self.degree != other.degree:
             return False
-        return self.canonical().terms == other.canonical().terms
+        if self.terms.keys() != other.terms.keys():
+            return False
+        if not self.terms:
+            return True
+        # on one support, f = c g (c != 0) iff f_m g_n = g_m f_n for a fixed n
+        K, n = self.field, next(iter(self.terms))
+        fn, gn = self.terms[n], other.terms[n]
+        return all(K.mul(v, gn) == K.mul(other.terms[m], fn) for m, v in self.terms.items())
 
     def __hash__(self):
         return hash((id(self.field), self.degree, tuple(sorted(self.canonical().terms.items()))))
@@ -273,20 +293,23 @@ def form_values(spec: FieldSpec, coeffs, monos, X, Y, Z) -> np.ndarray:
     # term; skipping it saves a call on the charts (x, 1, 0), (1, 0, 0) and
     # on the axes of the Hermitian chart solve
     zero = [np.ndim(x) == 0 and x == 0 for x in points]
+    # terms are summed into acc in place; a prime field reduces mod p once
+    prime = spec.m == 1 and spec.p > 2
     for c, m in zip(coeffs, monos):
         if not any(z and e for z, e in zip(zero, m)):
-            acc = spec.add_v(acc, spec.monomial_v(c, zip(points, m)))
+            term = spec.monomial_v(c, zip(points, m))
+            if prime:
+                acc += term
+            else:
+                spec.add_v(acc, term, out=acc)
+    if prime:
+        acc %= spec.p
     return acc
 
 
-def evaluate_all(f: TernaryForm) -> np.ndarray:
-    """Values of f at every point of P^2, in canonical enumeration order.
-
-    Refused with a ValueError, before anything is allocated, over fields
-    larger than F_4096 (q = 64): the Q x Q grid over F_{128^2} alone is
-    2 GiB per array.
-    """
-    Q = f.field.order
+def _plane_size(Q: int) -> int:
+    """The number of points of P^2(F_Q); a ValueError beyond F_4096 (q = 64),
+    where the Q x Q grid over F_{128^2} alone is 2 GiB per int64 array."""
     if Q > _MAX_PLANE_ORDER:
         q = isqrt(Q)
         name = f"F_{Q} (q = {q})" if q * q == Q else f"F_{Q}"
@@ -294,16 +317,48 @@ def evaluate_all(f: TernaryForm) -> np.ndarray:
             f"refusing to evaluate a form at all {Q * Q + Q + 1} points of the "
             f"plane over {name}: full-plane evaluation stops at F_{_MAX_PLANE_ORDER} (q = 64)"
         )
+    return Q * Q + Q + 1
+
+
+def _plane_blocks(spec: FieldSpec, coeffs, monos):
+    """(block, values) for consecutive blocks of the canonical enumeration:
+    `block` is a slice of point indices, and values[..., i] the value at
+    point block.start + i.
+
+    The chart (x, y, 1) goes by floor(_CHUNK / Q) rows of x at a time, with z
+    the scalar 1, then (x, 1, 0) and (1, 0, 0).  `coeffs` is as for
+    `form_values`, with rows that broadcast against a (rows, Q) grid.
+    """
+    Q = spec.order
     xs = np.arange(Q, dtype=np.int64)
-    monos, coeffs = tuple(f.terms), tuple(f.terms.values())
-    charts = ((xs[:, None], xs[None, :], 1), (xs, 1, 0), (1, 0, 0))
-    return np.concatenate(
-        [form_values(f.field, coeffs, monos, *pt).reshape(-1) for pt in charts]
-    )
+    rows = max(1, _CHUNK // Q)
+    grid = [(xs[x0 : x0 + rows, None], xs, 1) for x0 in range(0, Q, rows)]
+    start = 0
+    for pt in grid + [(xs, 1, 0), (1, 0, 0)]:
+        v = form_values(spec, coeffs, monos, *pt)
+        v = v.reshape(v.shape[:-2] + (-1,))
+        yield slice(start, start + v.shape[-1]), v
+        start += v.shape[-1]
+
+
+def evaluate_all(f: TernaryForm) -> np.ndarray:
+    """Values of f at every point of P^2, in canonical enumeration order.
+
+    Refused with a ValueError, before anything is allocated, over fields
+    larger than F_4096 (q = 64).
+    """
+    out = np.empty(_plane_size(f.field.order), dtype=np.int64)
+    for block, values in _plane_blocks(f.field, tuple(f.terms.values()), tuple(f.terms)):
+        out[block] = values
+    return out
 
 
 def zero_mask(f: TernaryForm) -> np.ndarray:
-    return evaluate_all(f) == 0
+    """The points of P^2 where f vanishes, as `evaluate_all(f) == 0`."""
+    out = np.empty(_plane_size(f.field.order), dtype=bool)
+    for block, values in _plane_blocks(f.field, tuple(f.terms.values()), tuple(f.terms)):
+        np.equal(values, 0, out=out[block])
+    return out
 
 
 def _rational_points(f: TernaryForm) -> np.ndarray:
@@ -350,7 +405,8 @@ def _hermitian_variant(f: TernaryForm) -> str | None:
     q = isqrt(Q)
     if q * q != Q or f.degree != q + 1:
         return None
-    return next((v for v in ("H1", "H2") if f == hermitian_model(q, v)), None)
+    models = ((v, hermitian_model(q, v)) for v in ("H1", "H2"))
+    return next((v for v, h in models if f is h or f == h), None)
 
 
 @lru_cache(maxsize=None)
@@ -411,13 +467,21 @@ def intersection(
     variant = _hermitian_variant(h)
     if variant is None:
         raise ValueError("the first form of an intersection must be a Hermitian model")
-    spec = h.field
-    q = isqrt(spec.order)
+    spec, Q = h.field, h.field.order
+    q = isqrt(Q)
+    coeffs, monos = tuple(f.terms.values()), tuple(f.terms)
     idx = hermitian_points(q, variant)
-    values = form_values(
-        spec, tuple(f.terms.values()), tuple(f.terms), *point_coords(spec.order, idx)
-    )
-    idx = idx[values == 0]
+    # the affine points (x, y, 1) come first, in blocks; then those at
+    # infinity, all (x, 1, 0), since (1, 0, 0) lies on neither model
+    affine = int(np.searchsorted(idx, Q * Q))
+    zeros = []
+    for lo in range(0, affine, _CHUNK):
+        block = idx[lo : min(lo + _CHUNK, affine)]
+        x, y = np.divmod(block, Q)
+        zeros.append(block[form_values(spec, coeffs, monos, x, y, 1) == 0])
+    rest = idx[affine:]
+    zeros.append(rest[form_values(spec, coeffs, monos, rest - Q * Q, 1, 0) == 0])
+    idx = np.concatenate(zeros)
     report = IntersectionReport(q, f.degree, len(idx), degenerate=(f == h))
     if with_points:
         report.points = _proj_points(spec, idx)
@@ -449,9 +513,7 @@ def has_smooth_rational_point(f: TernaryForm) -> bool:
     """True iff some F_{q^2}-rational point of f is nonsingular."""
     on_curve = zero_mask(f)
     fx, fy, fz = partials(f)
-    smooth = on_curve & (
-        (evaluate_all(fx) != 0) | (evaluate_all(fy) != 0) | (evaluate_all(fz) != 0)
-    )
+    smooth = on_curve & ~(zero_mask(fx) & zero_mask(fy) & zero_mask(fz))
     return bool(smooth.any())
 
 
@@ -545,27 +607,32 @@ def vanishing_lines(spec: FieldSpec, monos, batch) -> np.ndarray:
     """(len(batch), Q^2+Q+1) mask: form r vanishes at every point of line l.
 
     `batch` holds coefficient rows over `monos`.  Each form is evaluated
-    once at every point of the plane.  The line [a:b:c] passes through P
-    exactly when (a, b, c) lies on the line with coefficients P, so the
-    lines through a zero are the points of its dual line (`point_index`
-    of `line_points`), listed once per distinct zero of the batch: at most
-    (Q^2+Q+1) x (Q+1) indices, what gathering every line costs.  Each
-    (form, zero) pair votes for its Q+1 lines, one line of each zero at a
-    time, and a line vanishes where it has Q+1 votes.  So the votes of
-    one step and the counts have at most as many entries as the
-    (len(batch), Q^2+Q+1) zero mask.
+    once at every point of the plane, block by block (`_plane_blocks`).
+    The line [a:b:c] passes through P exactly when (a, b, c) lies on the
+    line with coefficients P, so the lines through a zero are the points of
+    its dual line (`point_index` of `line_points`).  Each (form, zero) pair
+    votes for its Q+1 lines, and a line vanishes where it has Q+1 votes.
+    The pairs go in groups of at most _CHUNK / (4(Q+1)), zero by zero, and
+    a group lists the lines of its own zeros only: its line table and its
+    votes have at most _CHUNK / 4 entries, a quarter block, since listing
+    the lines holds about eight arrays of that size.
     """
     batch = np.asarray(batch, dtype=np.int64)
     Q = spec.order
     n = line_count(Q)  # the plane has as many points as lines
-    zero = form_values(spec, batch.T[:, :, None], monos, *point_coords(Q, np.arange(n))) == 0
-    forms, points = np.nonzero(zero)
+    zero = np.empty((len(batch), n), dtype=bool)
+    for block, values in _plane_blocks(spec, batch.T[:, :, None, None], monos):
+        np.equal(values, 0, out=zero[:, block])
+    # (zero, form) pairs, zero-major: a run of pairs covers a run of zeros
+    points, forms = np.nonzero(zero.T)
     zeros, which = np.unique(points, return_inverse=True)
-    lines = point_index(spec, *line_points(spec, *point_coords(Q, zeros)))
-    row = forms * n  # start of each (form, zero) pair's form row in the flat counts
+    row = forms * n  # start of each pair's form row in the flat counts
     counts = np.zeros(zero.size, dtype=np.int64)
-    for column in lines.T:
-        np.add.at(counts, row + column[which], 1)
+    step = max(1, _CHUNK // (4 * (Q + 1)))
+    for i in range(0, len(which), step):
+        w = which[i : i + step]
+        lines = point_index(spec, *line_points(spec, *point_coords(Q, zeros[w[0] : w[-1] + 1])))
+        np.add.at(counts, (row[i : i + step, None] + lines[w - w[0]]).reshape(-1), 1)
     return counts.reshape(zero.shape) == Q + 1
 
 

@@ -8,11 +8,12 @@ degree k that vanishes nowhere off the curve for divisibility.
 """
 
 import time
+import tracemalloc
 
 import numpy as np
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from hermplane.constructions import build, secant_fan_curve, sporadic_cubic
+from hermplane.constructions import build, degree_q_curve, secant_fan_curve, sporadic_cubic
 from hermplane.field import FieldElem, field_of_order
 from hermplane import plane
 from hermplane.plane import (
@@ -141,7 +142,7 @@ def test_vanishing_lines_are_the_linear_factors():
 def test_vanishing_lines_match_evaluation_on_each_line():
     # the oracle evaluates every form at the Q + 1 points of every line
     rng = np.random.default_rng(3)
-    for Q, d in ((4, 2), (9, 3), (16, 2), (27, 2), (49, 3)):
+    for Q, d in ((4, 2), (5, 3), (9, 3), (16, 2), (27, 2), (49, 3)):
         spec = field_of_order(Q)
         monos, rest = monomials(d), monomials(d - 1)
         rows = rng.integers(0, Q, (12, len(monos))).tolist()
@@ -155,6 +156,27 @@ def test_vanishing_lines_match_evaluation_on_each_line():
         mask = vanishing_lines(spec, monos, batch)
         assert np.array_equal(mask, ~values.any(axis=-1))
         assert mask[12:].any(axis=1).all()
+
+
+def test_vanishing_lines_lists_lines_in_bounded_groups(monkeypatch):
+    # Q = 256: the lines of all 577 zeros of the degree-q curve at once
+    # took 11.7 MiB; groups of zeros keep the peak near a few blocks
+    g = degree_q_curve(16)
+    spec = g.field
+    f = g * line_form(spec, 1000)  # plant one line
+    monos = tuple(f.terms)
+    tracemalloc.start()
+    try:
+        masks = [vanishing_lines(spec, tuple(h.terms), [tuple(h.terms.values())])[0] for h in (g, f)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+    assert not masks[0].any()
+    assert np.flatnonzero(masks[1]).tolist() == [1000]
+    # one group holding every zero gives the same mask
+    monkeypatch.setattr(plane, "_CHUNK", 1 << 40)
+    assert np.array_equal(vanishing_lines(spec, monos, [tuple(f.terms.values())])[0], masks[1])
 
 
 def test_a_line_is_absolutely_irreducible():

@@ -171,6 +171,19 @@ def test_elem_operators():
     assert frobenius(x).val == spec.pow(5, 3)
 
 
+def test_elem_operators_read_integers_as_elem_does():
+    # an integer in [0, q) is an encoding, any other is embedded mod p
+    spec = field_of_order(9)
+    one = spec.one()
+    assert one + 5 == one + spec.elem(5)
+    assert (one + 5).val == spec.add(1, 5) != spec.add(1, 5 % 3)
+    assert 5 - one == spec.elem(5) - one
+    assert one * 7 == spec.elem(7) and 7 * one == spec.elem(7)
+    assert one / 5 == spec.elem(5).inv()
+    assert spec.elem(5) == 5 and spec.elem(2) != 5
+    assert one * 10 == spec.elem(10) == 1 and one * -1 == spec.elem(-1) == -1
+
+
 def test_primitive_elements_start_with_generator():
     spec = field_of_order(25)
     prim = list(primitive_elements(spec))

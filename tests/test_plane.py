@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hermplane import plane
 from hermplane.field import FieldElem, FieldError, field_of_order
 from hermplane.plane import (
     ProjPoint,
@@ -23,6 +24,7 @@ from hermplane.plane import (
     point_index,
     points_on,
     reducibility_search,
+    vanishing_lines,
     zero_mask,
 )
 
@@ -107,7 +109,7 @@ def _scalar_value(f, xyz):
 
 @st.composite
 def _forms(draw):
-    Q = draw(st.sampled_from((4, 9, 16, 25)))
+    Q = draw(st.sampled_from((4, 7, 9, 16, 25)))
     d = draw(st.integers(0, 4))
     spec = field_of_order(Q)
     coeff = st.one_of(st.just(0), st.integers(0, Q - 1))
@@ -186,6 +188,37 @@ def test_canonical_scales_leading_coeff_to_one():
     assert f.canonical() == f.scale(FieldElem(spec, 2)).canonical()
 
 
+def _random_form(rng, spec, d):
+    """A form of degree d with about 60 % of its monomials present."""
+    terms = {m: int(rng.integers(spec.order)) for m in monomials(d) if rng.random() < 0.6}
+    return TernaryForm(spec, d, terms)
+
+
+def test_projective_equality_matches_canonical_terms():
+    rng = np.random.default_rng(16)
+    for Q in (2, 4, 7, 9, 16, 25):
+        spec = field_of_order(Q)
+        pairs = [(TernaryForm(spec, 2, {}), TernaryForm(spec, 2, {}))]
+        for _ in range(30):
+            d = int(rng.integers(0, 4))
+            f = _random_form(rng, spec, d)
+            c = int(rng.integers(1, Q))
+            g = f.scale(c)
+            pairs += [(f, g), (f, _random_form(rng, spec, d)), (f, TernaryForm(spec, d, {}))]
+            if f.terms:
+                # the same support, one coefficient off by the generator: not
+                # proportional once f has two terms and Q > 2
+                m = next(iter(f.terms))
+                h = TernaryForm(spec, d, {**g.terms, m: spec.mul(g.terms[m], spec.generator)})
+                pairs += [(f, h), (h, f)]
+        for f, g in pairs:
+            same = f.canonical().terms == g.canonical().terms
+            assert (f == g) == same
+            assert (g == f) == same
+            if same:
+                assert hash(f) == hash(g)
+
+
 def test_hermitian_models_have_q_cubed_plus_one_points():
     for q in (2, 3, 4, 5):
         for model in ("H1", "H2"):
@@ -230,6 +263,31 @@ def test_intersection_on_hermitian_points_matches_full_plane(case):
     ]
     assert rep.degenerate == (f == h)
     assert rep.d == f.degree
+
+
+@pytest.mark.parametrize("model", ["H1", "H2"])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_blocks_smaller_than_a_row_change_nothing(monkeypatch, q, model):
+    # a block of 7 points: intersection blocks end inside rows of the grid,
+    # the plane walks one row of x at a time, and the line listing takes one
+    # zero per group
+    rng = np.random.default_rng(q)
+    h = hermitian_model(q, model)
+    spec = h.field
+    forms = [h, hermitian_model(q, "H2" if model == "H1" else "H1"), TernaryForm(spec, 1, {(0, 0, 1): 1})]
+    forms += [_random_form(rng, spec, d) for d in (0, 1, 2, 3, 3, 4)]
+    on_h = zero_mask(h)
+    want = [(np.flatnonzero(on_h & zero_mask(f)), evaluate_all(f)) for f in forms]
+    batch = [[f.terms.get(m, 0) for m in monomials(3)] for f in forms if f.degree == 3]
+    lines = vanishing_lines(spec, monomials(3), batch)
+    monkeypatch.setattr(plane, "_CHUNK", 7)
+    for f, (idx, values) in zip(forms, want):
+        rep = intersection(h, f, with_points=True)
+        assert rep.count == len(idx)
+        assert [P.key() for P in rep.points] == [point_at_index(spec, int(i)).key() for i in idx]
+        assert np.array_equal(evaluate_all(f), values)
+        assert np.array_equal(zero_mask(f), values == 0)
+    assert np.array_equal(vanishing_lines(spec, monomials(3), batch), lines)
 
 
 def test_intersection_needs_a_hermitian_model_first():
