@@ -293,17 +293,9 @@ def form_values(spec: FieldSpec, coeffs, monos, X, Y, Z) -> np.ndarray:
     # term; skipping it saves a call on the charts (x, 1, 0), (1, 0, 0) and
     # on the axes of the Hermitian chart solve
     zero = [np.ndim(x) == 0 and x == 0 for x in points]
-    # terms are summed into acc in place; a prime field reduces mod p once
-    prime = spec.m == 1 and spec.p > 2
     for c, m in zip(coeffs, monos):
         if not any(z and e for z, e in zip(zero, m)):
-            term = spec.monomial_v(c, zip(points, m))
-            if prime:
-                acc += term
-            else:
-                spec.add_v(acc, term, out=acc)
-    if prime:
-        acc %= spec.p
+            spec.add_v(acc, spec.monomial_v(c, zip(points, m)), out=acc)
     return acc
 
 
