@@ -276,10 +276,9 @@ class FieldSpec:
             return 0
         return int(self._exp[(int(self._log[a]) * e) % (self.order - 1)])
 
-    def frob(self, a, k=1):
-        if a == 0:
-            return 0
-        return self.pow(a, pow(self.p, k, self.order - 1))
+    def frob(self, a):
+        """a^p."""
+        return self.pow(a, self.p)
 
     def element_order(self, a):
         if a == 0:
@@ -526,9 +525,9 @@ class FieldElem:
 # subfield structure: Frobenius, norm, trace
 # ---------------------------------------------------------------------------
 
-def frobenius(x: FieldElem, k: int = 1) -> FieldElem:
-    """x^{p^k}."""
-    return FieldElem(x.spec, x.spec.frob(x.val, k))
+def frobenius(x: FieldElem) -> FieldElem:
+    """x^p."""
+    return FieldElem(x.spec, x.spec.frob(x.val))
 
 
 def _subfield_order(spec: FieldSpec) -> int:

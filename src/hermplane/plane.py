@@ -7,16 +7,12 @@ factor certificate used as an absolute-irreducibility certifier.
 Every evaluation of forms at points goes through one kernel,
 `form_values`: sum of c * X^i Y^j Z^k over broadcastable numpy arrays of
 coordinate encodings, each term one exp gather in the log domain
-(`FieldSpec.monomial_v`).  The form scan of the negative search
-(`_zero_hits`) builds its span tables with it: values are linear in the
-coefficients, so each canonical form's values at the points are a sum
-H[high digits] + L[low digits] of two precomputed rows, and the scan
-counts zeros by comparing L with -H, with no field arithmetic per form.
-Point counting enumerates P^2(F_{q^2}) as three charts, (x, y, 1) on a
-Q x Q grid, (x, 1, 0) and (1, 0, 0); `point_coords` maps enumeration
-indices back to coordinates and `point_index` coordinates to indices, so
-point subsets (the Hermitian points, the points off a curve, the points
-of a line) are evaluated or looked up without building `ProjPoint`s.
+(`FieldSpec.monomial_v`).  Point counting enumerates P^2(F_{q^2}) as
+three charts, (x, y, 1) on a Q x Q grid, (x, 1, 0) and (1, 0, 0);
+`point_coords` maps enumeration indices back to coordinates and
+`point_index` coordinates to indices, so point subsets (the Hermitian
+points, the points off a curve, the points of a line) are evaluated or
+looked up without building `ProjPoint`s.
 Large point sets are walked in blocks of about _CHUNK = 2^16 points, so
 the kernel's int64 temporaries stay near L2 size whatever q is: the plane
 (`_plane_blocks`, behind `evaluate_all`, `zero_mask` and the zero mask of
@@ -684,62 +680,6 @@ def _line_surviving_degrees(f: TernaryForm, levels) -> list[int]:
             if not survivors or stall >= _LINE_STALL:
                 break
     return sorted(survivors)
-
-
-def _coeff_rows(Q: int, M: int, lead: int, s) -> np.ndarray:
-    """Coefficient rows of the canonical forms (lead, s): a 1 at `lead`,
-    then the free coefficients as the base-Q digits of s, most significant
-    first.
-
-    The digit of a place value Q^k above every index is 0, so only the
-    places up to max(s) are decoded; their values fit in int64 with s.
-    """
-    s = np.asarray(s, dtype=np.int64)
-    rows = np.zeros((len(s), M), dtype=np.int64)
-    rows[:, lead] = 1
-    top = int(s.max(initial=0))
-    places = np.array([Q**k for k in range(M - 1 - lead) if Q**k <= top], dtype=np.int64)
-    rows[:, M - len(places) :] = s[:, None] // places[::-1] % Q
-    return rows
-
-
-def _zero_hits(spec: FieldSpec, monos, X, Y, Z, chunk: int = 1 << 15):
-    """Zero counts of every canonical form over `monos` at the points
-    (X, Y, Z), leading index ascending, then the free coefficients as a
-    base-Q integer s.
-
-    Yields (lead, offset, hits): hits[i] counts the points where the form
-    (lead, offset + i) of `_coeff_rows` vanishes.  Values are linear in
-    the coefficients, so with the free digits of s split into high and
-    low ones, values(s) = H[high] + L[low]: H sums the rows c * X^i Y^j Z^k
-    of the leading 1 and the high digits, L those of the low digits, and
-    the form vanishes where L[low] = -H[high].  Each (form, point) is then
-    one comparison; L has at most `chunk` rows, and H is built in chunks
-    so no comparison exceeds `chunk` forms.
-    """
-    Q, M = spec.order, len(monos)
-    c = np.arange(Q, dtype=np.int64)[:, None]
-    # table[m][c]: c times monomial m at every point
-    table = [form_values(spec, (c,), (m,), X, Y, Z) for m in monos]
-    dtype = np.min_scalar_type(Q - 1)
-    for lead in range(M):
-        free = M - 1 - lead
-        low = 0
-        while low < free // 2 and Q ** (low + 1) <= chunk:
-            low += 1
-        L = np.zeros((1, table[0].shape[1]), dtype=np.int64)
-        for m in range(M - low, M):
-            L = spec.add_v(L[:, None], table[m][None]).reshape(-1, L.shape[1])
-        L = L.astype(dtype)
-        high_rows, step = Q ** (free - low), max(1, chunk // len(L))
-        for h0 in range(0, high_rows, step):
-            # the high digits are canonical rows over the first M - low monomials
-            h = _coeff_rows(Q, M - low, lead, np.arange(h0, min(h0 + step, high_rows)))
-            H = table[lead][h[:, lead]]
-            for m in range(lead + 1, M - low):
-                H = spec.add_v(H, table[m][h[:, m]])
-            neg = spec.neg_v(H).astype(dtype)
-            yield lead, h0 * len(L), np.count_nonzero(L == neg[:, None], axis=2).reshape(-1)
 
 
 def reducibility_search(f: TernaryForm) -> ReducibilityResult:

@@ -1,20 +1,29 @@
-"""Exhaustive searches over projective plane curves of a given degree.
+"""Exhaustive search over projective plane curves of a given degree.
 
-These back the small-field impossibility results: for some (q, d) no
+It backs the small-field impossibility results: for some (q, d) no
 irreducible degree-d curve meets the Hermitian curve in d(q+1) distinct
 rational points.  Every projective equivalence class of ternary forms is
-scanned in canonical order, counting zeros among the q^3+1 Hermitian
-points only (that count is the intersection number).  The counts come
-from `plane._zero_hits`, which splits the coefficient span into two
-tables of form values and compares them, one comparison per form and
-point.  An achiever, rebuilt from its index (`plane._coeff_rows`), that
-shares no component with the Hermitian model is classified: for
-2 <= d <= Q the achievers that vanish on a whole line are reducible by
-one line test over the batch (`vanishing_lines`, which counts the zeros
-of each achiever on the lines through them), and the rest, lines
-included, go through the factor certificate `reducibility_search`.  An achiever the
-certificate leaves open is in neither class, and an irreducible one is
-accepted only after `intersection` re-measures it to d(q+1).
+scanned in canonical order: the leading 1 at the lowest monomial index,
+then the free coefficients as the base-Q digits of an index s, most
+significant first (`_coeff_rows`).  Zeros are counted among the q^3+1
+Hermitian points only; that count is the intersection number.
+
+The counts come from the span scan `_zero_hits`.  Values are linear in
+the coefficients, so each canonical form's values at the points are a
+sum H[high digits] + L[low digits] of two rows precomputed with
+`plane.form_values`, and the scan counts zeros by comparing L with -H:
+one comparison per form and point, with no field arithmetic per form.
+Form indices are int64; a space past int64 is refused before the scan,
+so every place value Q^k the scan decodes fits.
+
+An achiever, rebuilt from its index, that shares no component with the
+Hermitian model is classified: for 2 <= d <= Q the achievers that vanish
+on a whole line are reducible by one line test over the batch
+(`vanishing_lines`, which counts the zeros of each achiever on the lines
+through them), and the rest, lines included, go through the factor
+certificate `reducibility_search`.  An achiever the certificate leaves
+open is in neither class, and an irreducible one is accepted only after
+`intersection` re-measures it to d(q+1).
 """
 
 from __future__ import annotations
@@ -23,11 +32,11 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .field import FieldSpec
 from .plane import (
     TernaryForm,
-    _coeff_rows,
-    _zero_hits,
     divides,
+    form_values,
     hermitian_model,
     hermitian_points,
     intersection,
@@ -41,6 +50,9 @@ SCAN_BUDGET = 10**7
 
 # form indices are int64 (`_coeff_rows`), so no scan goes past this one
 _MAX_FORM_INDEX = np.iinfo(np.int64).max
+
+# the most forms one comparison of the span scan (`_zero_hits`) covers
+_SCAN_CHUNK = 1 << 15
 
 
 class SearchBudgetError(RuntimeError):
@@ -81,68 +93,67 @@ def projective_form_count(Q: int, M: int) -> int:
     return (Q**M - 1) // (Q - 1)
 
 
+def _coeff_rows(Q: int, M: int, lead: int, s) -> np.ndarray:
+    """Coefficient rows of the canonical forms (lead, s): a 1 at `lead`,
+    then the free coefficients as the base-Q digits of s, most significant
+    first.
+
+    The place values go up to Q^(M-2), below the form count of the space,
+    which the search keeps within int64.
+    """
+    s = np.asarray(s, dtype=np.int64)
+    rows = np.zeros((len(s), M), dtype=np.int64)
+    rows[:, lead] = 1
+    places = np.array([Q**k for k in range(M - 1 - lead)], dtype=np.int64)
+    rows[:, lead + 1 :] = s[:, None] // places[::-1] % Q
+    return rows
+
+
+def _zero_hits(spec: FieldSpec, monos, X, Y, Z):
+    """Zero counts of every canonical form over `monos` at the points
+    (X, Y, Z), leading index ascending, then the free coefficients as a
+    base-Q integer s.
+
+    Yields (lead, offset, hits): hits[i] counts the points where the form
+    (lead, offset + i) of `_coeff_rows` vanishes.  Values are linear in
+    the coefficients, so with the free digits of s split into high and
+    low ones, values(s) = H[high] + L[low]: H sums the rows c * X^i Y^j Z^k
+    of the leading 1 and the high digits, L those of the low digits, and
+    the form vanishes where L[low] = -H[high].  Each (form, point) is then
+    one comparison; L has at most _SCAN_CHUNK rows, and H is built in
+    runs so no comparison exceeds _SCAN_CHUNK forms.
+    """
+    Q, M = spec.order, len(monos)
+    c = np.arange(Q, dtype=np.int64)[:, None]
+    # table[m][c]: c times monomial m at every point
+    table = [form_values(spec, (c,), (m,), X, Y, Z) for m in monos]
+    dtype = np.min_scalar_type(Q - 1)
+    for lead in range(M):
+        free = M - 1 - lead
+        low = 0
+        while low < free // 2 and Q ** (low + 1) <= _SCAN_CHUNK:
+            low += 1
+        L = np.zeros((1, table[0].shape[1]), dtype=np.int64)
+        for m in range(M - low, M):
+            L = spec.add_v(L[:, None], table[m][None]).reshape(-1, L.shape[1])
+        L = L.astype(dtype)
+        high_rows, step = Q ** (free - low), max(1, _SCAN_CHUNK // len(L))
+        for h0 in range(0, high_rows, step):
+            # the high digits are canonical rows over the first M - low monomials
+            h = _coeff_rows(Q, M - low, lead, np.arange(h0, min(h0 + step, high_rows)))
+            H = table[lead][h[:, lead]]
+            for m in range(lead + 1, M - low):
+                H = spec.add_v(H, table[m][h[:, m]])
+            neg = spec.neg_v(H).astype(dtype)
+            yield lead, h0 * len(L), np.count_nonzero(L == neg[:, None], axis=2).reshape(-1)
+
+
 def _shares_hermitian_component(form: TernaryForm, h: TernaryForm) -> bool:
     if form.degree == h.degree:
         return form == h
     if form.degree > h.degree:
         return divides(h, form)
     return False
-
-
-def _run_search(q, d, model, budget, limit):
-    if d < 1:
-        raise ValueError(f"degree d must be >= 1 (got {d})")
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1 (got {budget})")
-    h = hermitian_model(q, model)
-    spec = h.field
-    Q = spec.order
-    points = point_coords(Q, hermitian_points(q, model))
-    mons = monomials(d)
-    M = len(mons)
-    total = projective_form_count(Q, M)
-    if limit is None and total > budget:
-        raise SearchBudgetError(
-            f"{total} candidate forms for (q={q}, d={d}) exceed the budget {budget}"
-        )
-    cap = total if limit is None else min(total, budget)
-    if cap > _MAX_FORM_INDEX:
-        raise ValueError(
-            f"budget {budget} would scan {cap} forms for (q={q}, d={d}), "
-            f"past the largest form index {_MAX_FORM_INDEX}"
-        )
-    target = d * (q + 1)
-    report = SearchReport(q, d, model, target, 0, False)
-    for lead, offset, hits in _zero_hits(spec, mons, *points):
-        hits = hits[: cap - report.total_forms_scanned]
-        scanned = report.total_forms_scanned
-        report.total_forms_scanned += len(hits)
-        rows = np.flatnonzero(hits == target)
-        batch = _coeff_rows(Q, M, lead, offset + rows)
-        # a line through d + 1 zeros of a form of degree d >= 2 divides it
-        lined = np.zeros(len(rows), dtype=bool)
-        if 2 <= d <= Q and len(rows):
-            lined = vanishing_lines(spec, mons, batch).any(axis=1)
-        for i, coeffs, has_line in zip(rows, batch, lined):
-            form = TernaryForm(spec, d, {m: int(c) for m, c in zip(mons, coeffs) if c})
-            if _shares_hermitian_component(form, h):
-                continue
-            status = "factor" if has_line else reducibility_search(form).status
-            if status == "irreducible" and intersection(h, form).count != target:
-                continue  # not the form that was counted: no witness
-            report.achievers.append(form)
-            if status == "irreducible":
-                report.irreducible_achievers.append(form)
-                if limit is not None and len(report.irreducible_achievers) >= limit:
-                    # the scan stops at this form
-                    report.total_forms_scanned = scanned + int(i) + 1
-                    return report
-            elif status == "factor":
-                report.reducible_achievers.append(form)
-        if report.total_forms_scanned >= cap:
-            break
-    report.complete = report.total_forms_scanned >= total
-    return report
 
 
 def exhaustive_negative_search(
@@ -154,20 +165,49 @@ def exhaustive_negative_search(
     achiever with a factor degree the lines leave open
     (`ReducibilityResult.open`, possible only for d >= 4) is in neither
     list, so it breaks the negative.  Raises SearchBudgetError when the
-    space exceeds `budget`.
+    space exceeds `budget`, and ValueError when it is past int64.
     """
-    return _run_search(q, d, model, budget, None)
-
-
-def positive_witness_search(
-    q: int, d: int, limit: int = 1, model: str = "H2", budget: int = SCAN_BUDGET
-) -> SearchReport:
-    """Scan in canonical order until `limit` irreducible achievers appear.
-
-    At most `budget` forms are scanned; `total_forms_scanned` counts the
-    forms up to the last witness found, and `complete` records whether
-    the space was exhausted anyway.
-    """
-    if limit < 1:
-        raise ValueError("limit must be >= 1")
-    return _run_search(q, d, model, budget, limit)
+    if d < 1:
+        raise ValueError(f"degree d must be >= 1 (got {d})")
+    if budget < 1:
+        raise ValueError(f"budget must be >= 1 (got {budget})")
+    h = hermitian_model(q, model)
+    spec = h.field
+    Q = spec.order
+    mons = monomials(d)
+    M = len(mons)
+    total = projective_form_count(Q, M)
+    if total > budget:
+        raise SearchBudgetError(
+            f"{total} candidate forms for (q={q}, d={d}) exceed the budget {budget}"
+        )
+    if total > _MAX_FORM_INDEX:
+        raise ValueError(
+            f"budget {budget} would scan {total} forms for (q={q}, d={d}), "
+            f"past the largest form index {_MAX_FORM_INDEX}"
+        )
+    target = d * (q + 1)
+    report = SearchReport(q, d, model, target, 0, False)
+    points = point_coords(Q, hermitian_points(q, model))
+    for lead, offset, hits in _zero_hits(spec, mons, *points):
+        report.total_forms_scanned += len(hits)
+        rows = np.flatnonzero(hits == target)
+        batch = _coeff_rows(Q, M, lead, offset + rows)
+        # a line through d + 1 zeros of a form of degree d >= 2 divides it
+        lined = np.zeros(len(rows), dtype=bool)
+        if 2 <= d <= Q and len(rows):
+            lined = vanishing_lines(spec, mons, batch).any(axis=1)
+        for coeffs, has_line in zip(batch, lined):
+            form = TernaryForm(spec, d, {m: int(c) for m, c in zip(mons, coeffs) if c})
+            if _shares_hermitian_component(form, h):
+                continue
+            status = "factor" if has_line else reducibility_search(form).status
+            if status == "irreducible" and intersection(h, form).count != target:
+                continue  # not the form that was counted: no witness
+            report.achievers.append(form)
+            if status == "irreducible":
+                report.irreducible_achievers.append(form)
+            elif status == "factor":
+                report.reducible_achievers.append(form)
+    report.complete = report.total_forms_scanned == total
+    return report

@@ -1,28 +1,24 @@
 """Text and JSON encodings for field elements and plane curves.
 
 Field elements print as coefficient vectors "[c0,c1,...]" against the
-canonical modulus, or as generator powers "w^k"; "0" is the zero
-element.  Curves serialize to JSON with their field, degree, model tag
-and sparse term list.
+canonical modulus, and "0" is the zero element; they are read from that
+form, from generator powers "w^k" and from integer encodings.  Curves
+serialize to JSON with their field, degree, model tag and sparse term
+list.
 """
 
 from __future__ import annotations
 
 import json
 
-from .field import FieldElem, FieldSpec, field_of_order
+from .field import FieldElem, FieldSpec, make_field
 from .plane import TernaryForm
 
 
-def format_element(x: FieldElem, style: str = "coeffs") -> str:
+def format_element(x: FieldElem) -> str:
     if x.val == 0:
         return "0"
-    if style == "coeffs":
-        return "[" + ",".join(str(c) for c in x.coeffs()) + "]"
-    if style == "power":
-        k = int(x.spec._log[x.val])
-        return "w" if k == 1 else f"w^{k}"
-    raise ValueError(f"unknown style {style!r}")
+    return "[" + ",".join(str(c) for c in x.coeffs()) + "]"
 
 
 def parse_element(spec: FieldSpec, text) -> FieldElem:
@@ -35,17 +31,23 @@ def parse_element(spec: FieldSpec, text) -> FieldElem:
     if isinstance(text, FieldElem):
         return spec.elem(text)
     if isinstance(text, str):
-        text = text.strip()
-        if text == "w":
+        raw = text.strip()
+        if raw == "w":
             return spec.gen()
-        if text.startswith("w^"):
-            return FieldElem(spec, spec.pow(spec.gen().val, int(text[2:])))
-        if text.startswith("["):
-            if not text.endswith("]"):
-                raise ValueError(f"unbalanced coefficient vector {text!r}")
-            text = [int(c) for c in text[1:-1].split(",") if c.strip() != ""]
-        else:
-            text = int(text)
+        if raw.startswith("[") and not raw.endswith("]"):
+            raise ValueError(f"unbalanced coefficient vector {raw!r}")
+        try:
+            if raw.startswith("w^"):
+                return FieldElem(spec, spec.pow(spec.gen().val, int(raw[2:])))
+            if raw.startswith("["):
+                text = [int(c) for c in raw[1:-1].split(",") if c.strip() != ""]
+            else:
+                text = int(raw)
+        except ValueError:
+            raise ValueError(
+                f"cannot read {raw!r} as a field element: expected "
+                "'[c0,c1,...]', 'w', 'w^k' or an integer encoding"
+            ) from None
     if isinstance(text, (list, tuple)):
         for c in text:
             if not 0 <= c < spec.p:
@@ -87,7 +89,10 @@ def _require(obj, keys, what):
 
 def curve_from_dict(data: dict) -> TernaryForm:
     p, m, degree, raw_terms = _require(data, ("p", "m", "degree", "terms"), "curve")
-    spec = field_of_order(p**m)
+    for key, v in (("p", p), ("m", m)):
+        if type(v) is not int:
+            raise ValueError(f"curve {key!r} = {v!r} is not an integer")
+    spec = make_field(p, m)
     terms = {}
     for t in raw_terms:
         i, j, k, coeff = _require(t, ("i", "j", "k", "coeff"), "curve term")

@@ -194,17 +194,17 @@ def serre_split_threshold(d: int) -> int:
     """Largest q failing q + 1 - floor(2 sqrt(q)) g_d - C_d > 0.
 
     Every prime power beyond it (with gcd(q, d(d-1)) = 1) has a
-    splitting A.  With s = g + isqrt(g^2 + C - 1) + 1, every q >= s^2
-    has q + 1 - floor(2 sqrt(q)) g - C >= (sqrt(q) - g)^2 - g^2 + 1 - C
-    > 0, so the scan runs down from s^2 to the first failure (q = 2
-    fails, as C_d >= 8).
+    splitting A.  Group q by k = isqrt(4q): block k holds the q with
+    k^2 <= 4q < (k+1)^2, and q fails there exactly when q <= gk + C - 1.
+    A block holds a failing q when k^2 <= 4(gk + C - 1), that is
+    k <= 2g + sqrt(4(g^2 + C - 1)); the blocks grow with k, so the
+    largest failure lies in the last such block K, at the smaller of
+    its top ((K+1)^2 - 1) // 4 and gK + C - 1.
     """
     g = genus_Fd(d)
     c = ramification_allowance(d)
-    q = (g + isqrt(g * g + c - 1) + 1) ** 2
-    while q + 1 - isqrt(4 * q) * g - c > 0:
-        q -= 1
-    return q
+    k = 2 * g + isqrt(4 * (g * g + c - 1))
+    return min(((k + 1) ** 2 - 1) // 4, g * k + c - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +243,11 @@ def survey_split(d: int, q_max: int, gcd_filter: int | None = None):
     With gcd_filter = n, only q coprime to n are swept (the regime of
     the genus/threshold formulas uses n = d(d-1)).  Each field is built
     uncached and dropped after its count, so the sweep holds one field's
-    tables at a time.
+    tables at a time.  A filter below 1 is refused: 0 would sweep nothing,
+    since gcd(q, 0) = q.
     """
+    if gcd_filter is not None and gcd_filter < 1:
+        raise ValueError(f"gcd filter must be >= 1 (got {gcd_filter})")
     if q_max > 4096:
         raise ValueError("survey capped at q_max <= 4096")
     rows = []

@@ -155,6 +155,33 @@ def test_construct_rejects_out_of_range_alpha(capsys):
         assert "outside" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["construct", "--family", "monomial", "--q", "3", "--d", "2", "--alpha", "abc"],
+            "cannot read 'abc' as a field element: expected "
+            "'[c0,c1,...]', 'w', 'w^k' or an integer encoding",
+        ),
+        (
+            ["verify", "--family", "monomial", "--q", "3", "--d", "2", "--alpha", "w^x"],
+            "cannot read 'w^x' as a field element",
+        ),
+        (
+            ["construct", "--family", "monomial", "--q", "3", "--d", "2", "--alpha", "[1,a]"],
+            "cannot read '[1,a]' as a field element",
+        ),
+        (["survey", "--d", "5", "--q-max", "50", "--gcd-filter", "0"], "gcd filter must be >= 1 (got 0)"),
+        (["survey", "--d", "5", "--q-max", "50", "--gcd-filter", "-6"], "gcd filter must be >= 1 (got -6)"),
+    ],
+)
+def test_unreadable_or_empty_input_is_usage_error(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+
+
 def test_intersect_rejects_out_of_range_coefficient(capsys, tmp_path):
     path = tmp_path / "curve.json"
     run(capsys, "construct", "--family", "degree-q", "--q", "3", "--output", str(path))
@@ -175,7 +202,8 @@ def test_intersect_rejects_out_of_range_coefficient(capsys, tmp_path):
         ({"p": 3, "m": 2, "degree": 1, "terms": [{"i": 1, "j": 0, "k": 0}]}, "'coeff'"),
         ([3, 2], "not a JSON object"),
         ({"p": 3, "m": 2, "degree": 1, "terms": [7]}, "not a JSON object"),
-        ({"p": 3.0, "m": 2, "degree": 1, "terms": []}, "9.0 is not an integer"),
+        ({"p": 9.0, "m": 1, "degree": 1, "terms": []}, "9.0 is not an integer"),
+        ({"p": 4, "m": 2, "degree": 1, "terms": []}, "characteristic 4 is not prime"),
     ],
 )
 def test_intersect_rejects_malformed_curve_file(capsys, tmp_path, data, key):
@@ -248,10 +276,14 @@ def test_survey_csv(capsys):
 
 
 def test_thresholds(capsys):
-    code, out, _ = run(capsys, "thresholds", "--d", "5", "--format", "json")
+    # d = 40 is the closed form, not a walk over about 4g values of q
+    code, out, _ = run(capsys, "thresholds", "--d", "5", "40", "--format", "json")
     assert code == 0
-    rec = json.loads(out)
+    rec, large = map(json.loads, out.splitlines())
     assert rec["genus"] == 4 and rec["threshold"] == 233
+    assert large["d"] == 40 and large["threshold"] == int(
+        "134424049881383775589406094256858077059657352297874609290098797861744260810386164206796800000005"
+    )
 
 
 def test_negative_search(capsys):

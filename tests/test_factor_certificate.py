@@ -19,7 +19,6 @@ from hermplane import plane
 from hermplane.plane import (
     ProjPoint,
     TernaryForm,
-    _coeff_rows,
     _partials_vanish_only_at_zero,
     _restrictions,
     absolute_irreducibility_status,
@@ -36,6 +35,7 @@ from hermplane.plane import (
     vanishing_lines,
     zero_mask,
 )
+from hermplane.search import _coeff_rows
 from hermplane.unipoly import UniPoly
 
 # the oracle enumerates a degree when it has at most this many forms:

@@ -263,8 +263,8 @@ def _prime_powers(hi):
     return [q for q in range(2, hi + 1) if len(factorint(q)) == 1]
 
 
-# every field the matrix and the benchmark build, and F_{3^8} for the
-# digit-path addition of odd-p fields above the add-table limit
+# every field the matrix and the benchmark build, and six they never
+# build: the odd degrees 3, 7 and 11, and F_{q^2} for q = 47, 49, 81
 ARITH_FIELDS = [q * q for q in _prime_powers(32) + [64]] + [
     13**3, 47**2, 7**4, 3**7, 2**11, 3**8,
 ]

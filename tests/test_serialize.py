@@ -15,12 +15,11 @@ from hermplane.serialize import (
 
 
 def test_format_element_styles():
+    # zero prints as "0", everything else as its coefficient vector
     spec = field_of_order(9)
-    x = spec.gen()
     assert format_element(spec.elem(0)) == "0"
-    assert format_element(x, style="power") == "w"
-    assert format_element(x * x, style="power") == "w^2"
     assert format_element(spec.elem(5)) == "[2,1]"
+    assert format_element(spec.elem(3)) == "[0,1]"
 
 
 def test_parse_element_accepts_many_shapes():
@@ -42,8 +41,11 @@ def test_parse_format_round_trip():
     for v in range(spec.order):
         x = FieldElem(spec, v)
         assert parse_element(spec, format_element(x)) == x
-        if v:
-            assert parse_element(spec, format_element(x, style="power")) == x
+    # "w^k" for k < 24 names each nonzero element once, w^(k+1) = w^k * w
+    powers = [parse_element(spec, f"w^{k}") for k in range(spec.order - 1)]
+    assert sorted(x.val for x in powers) == list(range(1, spec.order))
+    for a, b in zip(powers, powers[1:]):
+        assert b == a * spec.gen()
 
 
 def test_parse_element_rejects_garbage():
@@ -89,3 +91,14 @@ def test_load_rejects_malformed(tmp_path):
     path.write_text('{"p": 3}')
     with pytest.raises((KeyError, ValueError)):
         load_curve(path)
+    # p = 4 is refused, not read as F_16 = F_{2^4}
+    term = {"i": 1, "j": 0, "k": 0, "coeff": "1"}
+    for p, m, message in [
+        (4, 2, "characteristic 4 is not prime"),
+        (2.0, 4, "curve 'p' = 2.0 is not an integer"),
+        (2, 4.0, "curve 'm' = 4.0 is not an integer"),
+        (True, 4, "curve 'p' = True is not an integer"),
+    ]:
+        path.write_text(json.dumps({"p": p, "m": m, "degree": 1, "terms": [term]}))
+        with pytest.raises(ValueError, match=message):
+            load_curve(path)

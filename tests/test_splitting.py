@@ -1,3 +1,5 @@
+from math import isqrt
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -165,6 +167,17 @@ def test_ramification_allowance():
     assert ramification_allowance(6) == 624
 
 
+def _threshold_walk(d):
+    """The largest failing q, walked down one q at a time from s^2, where
+    s = g + isqrt(g^2 + C - 1) + 1: every q >= s^2 has
+    q + 1 - floor(2 sqrt(q)) g - C >= (sqrt(q) - g)^2 - g^2 + 1 - C > 0."""
+    g, c = genus_Fd(d), ramification_allowance(d)
+    q = (g + isqrt(g * g + c - 1) + 1) ** 2
+    while q + 1 - isqrt(4 * q) * g - c > 0:
+        q -= 1
+    return q
+
+
 def test_serre_split_thresholds():
     assert serre_split_threshold(3) == 7
     assert serre_split_threshold(4) == 25
@@ -172,6 +185,14 @@ def test_serre_split_thresholds():
     assert serre_split_threshold(6) == 10766
     # a scan of every q below 8 (C_7 + g_7 + 2)^2 finds the same value
     assert serre_split_threshold(7) == 933371
+    for d in range(3, 11):
+        assert serre_split_threshold(d) == _threshold_walk(d)
+    # past d = 10 the walk takes minutes: the threshold fails, the q
+    # just above it pass
+    for d in (11, 12, 20, 40):
+        g, c, t = genus_Fd(d), ramification_allowance(d), serre_split_threshold(d)
+        assert t + 1 - isqrt(4 * t) * g - c <= 0
+        assert all(q + 1 - isqrt(4 * q) * g - c > 0 for q in range(t + 1, t + 10**4))
 
 
 def test_prime_powers():
