@@ -166,16 +166,23 @@ def cmd_survey(args):
 
 
 def cmd_thresholds(args):
+    # every output format prints these integers in decimal, which Python
+    # refuses past its digit limit (0 means no limit)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     recs = []
     for d in args.d:
-        recs.append(
-            {
-                "d": d,
-                "genus": genus_Fd(d),
-                "ramification": ramification_allowance(d),
-                "threshold": serre_split_threshold(d),
-            }
-        )
+        rec = {
+            "d": d,
+            "genus": genus_Fd(d),
+            "ramification": ramification_allowance(d),
+            "threshold": serre_split_threshold(d),
+        }
+        if limit and max(rec.values()) >= 10**limit:
+            raise ValueError(
+                f"d={d} gives integers of more than {limit} digits, "
+                "the limit for printing an integer"
+            )
+        recs.append(rec)
     _emit(recs, args.format)
     return 0
 

@@ -21,7 +21,7 @@ from math import factorial, gcd, isqrt
 
 import numpy as np
 
-from .field import FieldElem, FieldSpec, ambient, field_of_order, prime_power
+from .field import MAX_ORDER, FieldElem, FieldSpec, ambient, field_of_order, prime_power
 
 
 @dataclass
@@ -243,13 +243,14 @@ def survey_split(d: int, q_max: int, gcd_filter: int | None = None):
     With gcd_filter = n, only q coprime to n are swept (the regime of
     the genus/threshold formulas uses n = d(d-1)).  Each field is built
     uncached and dropped after its count, so the sweep holds one field's
-    tables at a time.  A filter below 1 is refused: 0 would sweep nothing,
-    since gcd(q, 0) = q.
+    tables at a time.  A filter below 1 is refused (0 would sweep nothing,
+    since gcd(q, 0) = q), and so is a q_max above MAX_ORDER, before the
+    sieve is allocated.
     """
     if gcd_filter is not None and gcd_filter < 1:
         raise ValueError(f"gcd filter must be >= 1 (got {gcd_filter})")
-    if q_max > 4096:
-        raise ValueError("survey capped at q_max <= 4096")
+    if q_max > MAX_ORDER:
+        raise ValueError(f"survey q_max {q_max} exceeds the largest field order {MAX_ORDER}")
     rows = []
     for q, p, m in _prime_power_factors(2, q_max):
         if gcd_filter is not None and gcd(q, gcd_filter) != 1:

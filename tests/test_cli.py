@@ -173,6 +173,14 @@ def test_construct_rejects_out_of_range_alpha(capsys):
         ),
         (["survey", "--d", "5", "--q-max", "50", "--gcd-filter", "0"], "gcd filter must be >= 1 (got 0)"),
         (["survey", "--d", "5", "--q-max", "50", "--gcd-filter", "-6"], "gcd filter must be >= 1 (got -6)"),
+        (
+            ["survey", "--d", "6", "--q-max", "16777217"],
+            "survey q_max 16777217 exceeds the largest field order 16777216",
+        ),
+        (
+            ["thresholds", "--d", "5", "1000"],
+            "d=1000 gives integers of more than 4300 digits, the limit for printing an integer",
+        ),
     ],
 )
 def test_unreadable_or_empty_input_is_usage_error(capsys, argv, message):

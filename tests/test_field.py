@@ -1,4 +1,5 @@
 import importlib.util
+import tracemalloc
 from functools import cache
 from math import gcd
 from pathlib import Path
@@ -292,6 +293,31 @@ def test_arithmetic_matches_galoistools(Q):
 def test_prime_field_generator_is_least_primitive_root(p, root):
     # the primes below 2500 with the largest least primitive roots
     assert make_field(p, 1).generator == primitive_root(p) == root
+
+
+def test_prime_field_powers_match_pow():
+    # p = 2 and 3 take one and two baby steps, so a single giant step
+    for p in filter(isprime, range(2, 1 << 13)):
+        spec = FieldSpec(p, 1)  # uncached: 1028 fields would stay alive
+        g = spec.generator
+        assert spec._exp[: p - 1].tolist() == [pow(g, k, p) for k in range(p - 1)], p
+
+
+def test_largest_prime_field_powers_and_peak():
+    p = 16777213  # the largest prime below MAX_ORDER
+    tracemalloc.start()
+    try:
+        spec = FieldSpec(p, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the peak is the final tables (exp 3(p-1), log and neg p each) and two
+    # temporaries of p-1 entries; the fill stays under it
+    assert peak <= 7 * (p - 1) * 8 + (1 << 16)
+    g = spec.generator
+    k = np.random.default_rng(0).integers(0, p - 1, 10_000)
+    assert spec._exp[k].tolist() == [pow(g, e, p) for e in k.tolist()]
+    assert np.array_equal(spec._log[spec._exp[k]], k)
 
 
 # the extension fields of the d = 6 survey: gcd(q, 30) = 1, q <= 2500

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 from sympy import factorint
 
 from hermplane.crosscheck import fiber_survey
-from hermplane.field import FieldSpec, field_of_order, make_field
+from hermplane import splitting
+from hermplane.field import MAX_ORDER, FieldSpec, field_of_order, make_field
 from hermplane.splitting import (
     _splitting_witnesses,
     count_splitting_A,
@@ -237,6 +238,22 @@ def test_survey_fields_build_no_add_table():
     assert tables and max(t.size for t in tables) <= 4 * spec.order + 3
 
 
-def test_survey_cap():
-    with pytest.raises(ValueError):
-        survey_split(6, 5000)
+def test_survey_cap(monkeypatch):
+    # refused before the sieve or any field is built
+    def no_sweep(*args):
+        raise AssertionError("the sweep started")
+
+    monkeypatch.setattr(splitting, "_prime_power_factors", no_sweep)
+    with pytest.raises(ValueError, match="q_max 16777217 exceeds the largest field order 16777216"):
+        survey_split(6, MAX_ORDER + 1)
+
+
+def test_sextic_survey_to_the_threshold():
+    # serre_split_threshold(6) = 10766: past it every q with gcd(q, 30) = 1
+    # has a splitting A, so these are all the q with N_6(q) = 0
+    rows = survey_split(6, serre_split_threshold(6), gcd_filter=30)
+    zeros = [q for q, n in rows if n == 0]
+    assert len(rows) == 1338
+    assert len(zeros) == 121 and zeros[-1] == 2197
+    powers = [q for q in zeros if sum(factorint(q).values()) > 1]
+    assert powers == [49, 121, 343, 361, 529, 1331, 2197]
