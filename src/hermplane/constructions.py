@@ -281,8 +281,7 @@ def monomial_fast_count(q: int, d: int, alpha: FieldElem) -> int:
     if d < 2:
         raise ConstructionError("d must be >= 2")
     A = norm_to_subfield(alpha)
-    images = fiber_images(spec, d, _subfield_units(q))
-    return (q + 1) * int(np.count_nonzero(images == A.val))
+    return (q + 1) * int(np.count_nonzero(_subfield_fiber_images(q, d) == A.val))
 
 
 @lru_cache(maxsize=None)
@@ -293,6 +292,14 @@ def _subfield_units(q: int) -> np.ndarray:
     t = x[spec.pow_v(x, q) == x]
     t.flags.writeable = False
     return t
+
+
+@lru_cache(maxsize=None)
+def _subfield_fiber_images(q: int, d: int) -> np.ndarray:
+    """`fiber_images` of F_q^* (`_subfield_units`) inside F_{q^2}, read-only."""
+    images = fiber_images(ambient(q), d, _subfield_units(q))
+    images.flags.writeable = False
+    return images
 
 
 # ---------------------------------------------------------------------------
@@ -382,12 +389,28 @@ FAMILIES = (
 )
 
 
+_ALPHA_FAMILIES = ("degree-q", "monomial")
+
+
 def build(family: str, q: int, d: int | None = None, alpha=None):
     """Build (descriptor, form) for a named family with canonical parameters.
 
     `alpha`, when a family takes one, may be a FieldElem, an encoding, or
-    any of the textual element formats ("w^3", "[1,2]", ...).
+    any of the textual element formats ("w^3", "[1,2]", ...).  An alpha
+    for a family that takes none, or a `d` other than the degree of the
+    built curve, is a ConstructionError naming the family.
     """
+    if family not in FAMILIES:
+        raise ConstructionError(f"unknown family {family!r}")
+    if alpha is not None and family not in _ALPHA_FAMILIES:
+        raise ConstructionError(f"{family} takes no alpha")
+    desc, form = _build(family, q, d, alpha)
+    if d is not None and d != desc.d:
+        raise ConstructionError(f"{family} at q={q} has degree {desc.d}, not d={d}")
+    return desc, form
+
+
+def _build(family: str, q: int, d: int | None, alpha):
     from .serialize import parse_element
 
     spec = ambient(q)
@@ -427,10 +450,8 @@ def build(family: str, q: int, d: int | None = None, alpha=None):
     if family == "sporadic-cubic":
         form = sporadic_cubic(q)
         return ConstructionDescriptor("SporadicCubic", q, 3, {}, "H2"), form
-    if family == "sporadic-quartic":
-        w, form = sporadic_quartic(q)
-        return ConstructionDescriptor("SporadicQuartic", q, 4, {"omega": w}, "H2"), form
-    raise ConstructionError(f"unknown family {family!r}")
+    w, form = sporadic_quartic(q)  # sporadic-quartic
+    return ConstructionDescriptor("SporadicQuartic", q, 4, {"omega": w}, "H2"), form
 
 
 def measure(family: str, q: int, d: int | None = None, alpha=None):

@@ -192,13 +192,15 @@ class FieldSpec:
         # log 0: added to any log in [0, q-1), it lands in the zero tail
         zero_log = 2 * q1 + 1
         self._exp = np.concatenate((exp, exp, exp[:1], np.zeros(q1, dtype=np.int64)))
+        exp = self._exp[:q1]  # frees the fill's table: a large build peaks at its final tables
         log = np.empty(self.order, dtype=np.int64)
         log[exp] = np.arange(q1, dtype=np.int64)
         log[0] = zero_log
         self._log = log
         self._pw = pw
         # -1 is g^((q-1)/2) in odd characteristic and 1 in characteristic 2
-        self._neg = self._exp[log + (q1 // 2 if p > 2 else 0)]
+        neg = log + (q1 // 2 if p > 2 else 0)  # gathered in place
+        self._neg = self._exp.take(neg, out=neg, mode="clip")
         self._dig = None  # no digit table; perfbench/spans.py still sizes it by name
         self._add_tab = None
         if p > 2 and m > 1:

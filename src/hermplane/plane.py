@@ -17,21 +17,28 @@ Large point sets are walked in blocks of about _CHUNK = 2^16 points, so
 the kernel's int64 temporaries stay near L2 size whatever q is: the plane
 (`_plane_blocks`, behind `evaluate_all`, `zero_mask` and the zero mask of
 `vanishing_lines`) by runs of whole rows of the grid with z the scalar 1,
-and the Hermitian points by runs of their affine indices.
+and the Hermitian points (`_hermitian_blocks`) by runs of their affine
+indices.  A batch of forms (coefficient rows over one monomial list) is
+evaluated in the same walks, all rows per block; the Hermitian walk
+shortens its blocks so that a block's values stay near _CHUNK entries.
 
 The Hermitian points are not found on the grid but by solving the chart
 z = 1 (`hermitian_points`): neither model has a term with both X and Y,
 so h(x, y, 1) = a(x) + b(y), two kernel calls over F_Q, and the zeros are
 the pairs with b(y) = -a(x), read off a stable sort of b.  That is O(q^3)
-work against the grid's O(q^4).  `intersection` measures a form against
-a Hermitian model, its only first argument, by evaluating the form on
-these q^3+1 points: the affine ones block by block as (x, y, 1) with x, y
-read off the index, then the q+1 (H2) or 1 (H1) points at infinity, all
-of them (x, 1, 0).  `points_on` of a model, the `hermitian-points` count
-and the negative search read the same set.  The full plane
-(`evaluate_all`, `zero_mask`) serves every other form and is the
-independent count the verification matrix checks the point set against;
-it is refused beyond F_{64^2}.
+work against the grid's O(q^4).  One walk, `_hermitian_blocks`, evaluates
+forms on these q^3+1 points: the affine ones block by block as (x, y, 1)
+with x, y read off the index, then the q+1 (H2) or 1 (H1) points at
+infinity, all of them (x, 1, 0).  It has two readers, both taking a
+Hermitian model as their only first argument: `intersection` measures one
+form in blocks of _CHUNK points and keeps its zeros, and
+`intersection_counts` counts the zeros of each row of a batch, which is
+how the verification matrix checks the monomial fast count for every
+alpha of a (q, d) at once.  `points_on` of a model, the
+`hermitian-points` count and the negative search read the same set.  The
+full plane (`evaluate_all`, `zero_mask`) serves every other form and is
+the independent count the verification matrix checks the point set
+against; it is refused beyond F_{64^2}.
 
 The factor certificate has two parts.  A form whose three partials are
 nonzero single terms, powers of X, Y and Z up to order (H1, H2, the
@@ -441,39 +448,65 @@ class IntersectionReport:
     degenerate: bool = False
 
 
+def _hermitian_blocks(h: TernaryForm, coeffs, monos, size: int):
+    """(points, values) for consecutive blocks of the Hermitian points of h:
+    `points` holds enumeration indices, and values[..., i] the value at
+    points[i].
+
+    The affine points (x, y, 1) come first, `size` at a time, with x, y
+    read off the index; then those at infinity, all (x, 1, 0), since
+    (1, 0, 0) lies on neither model.  `coeffs` is as for `form_values`,
+    with rows that broadcast against a row of points.  An h that is not a
+    Hermitian model is a ValueError.
+    """
+    variant = _hermitian_variant(h)
+    if variant is None:
+        raise ValueError("the first form of an intersection must be a Hermitian model")
+    spec, Q = h.field, h.field.order
+    idx = hermitian_points(isqrt(Q), variant)
+    affine = int(np.searchsorted(idx, Q * Q))
+    for lo in range(0, affine, size):
+        block = idx[lo : min(lo + size, affine)]
+        x, y = np.divmod(block, Q)
+        yield block, form_values(spec, coeffs, monos, x, y, 1)
+    rest = idx[affine:]
+    yield rest, form_values(spec, coeffs, monos, rest - Q * Q, 1, 0)
+
+
 def intersection(
     h: TernaryForm, f: TernaryForm, with_points: bool = False
 ) -> IntersectionReport:
     """Count the common F_{q^2}-rational points of a Hermitian model h and f.
 
-    f is evaluated only at the q^3+1 points of h (`hermitian_points`);
-    f = h up to a scalar is flagged as degenerate.  An h that is not a
-    Hermitian model is a ValueError.
+    f is evaluated only at the q^3+1 points of h (`hermitian_points`),
+    _CHUNK at a time; f = h up to a scalar is flagged as degenerate.  An h
+    that is not a Hermitian model is a ValueError.
     """
     if h.field is not f.field:
         raise FieldError("forms over different fields")
-    variant = _hermitian_variant(h)
-    if variant is None:
-        raise ValueError("the first form of an intersection must be a Hermitian model")
-    spec, Q = h.field, h.field.order
-    q = isqrt(Q)
     coeffs, monos = tuple(f.terms.values()), tuple(f.terms)
-    idx = hermitian_points(q, variant)
-    # the affine points (x, y, 1) come first, in blocks; then those at
-    # infinity, all (x, 1, 0), since (1, 0, 0) lies on neither model
-    affine = int(np.searchsorted(idx, Q * Q))
-    zeros = []
-    for lo in range(0, affine, _CHUNK):
-        block = idx[lo : min(lo + _CHUNK, affine)]
-        x, y = np.divmod(block, Q)
-        zeros.append(block[form_values(spec, coeffs, monos, x, y, 1) == 0])
-    rest = idx[affine:]
-    zeros.append(rest[form_values(spec, coeffs, monos, rest - Q * Q, 1, 0) == 0])
-    idx = np.concatenate(zeros)
-    report = IntersectionReport(q, f.degree, len(idx), degenerate=(f == h))
+    blocks = _hermitian_blocks(h, coeffs, monos, _CHUNK)
+    idx = np.concatenate([points[values == 0] for points, values in blocks])
+    report = IntersectionReport(isqrt(h.field.order), f.degree, len(idx), degenerate=(f == h))
     if with_points:
-        report.points = _proj_points(spec, idx)
+        report.points = _proj_points(h.field, idx)
     return report
+
+
+def intersection_counts(h: TernaryForm, monos, batch) -> np.ndarray:
+    """For each coefficient row of `batch` over `monos`, the number of points
+    of the Hermitian model h where that form vanishes.
+
+    All rows are evaluated in one kernel call per block, and a block has
+    _CHUNK // len(batch) points (at least 1), so its values stay near
+    _CHUNK entries.  Row r counts as ``intersection(h, f_r).count``.
+    """
+    batch = np.asarray(batch, dtype=np.int64).reshape(len(batch), len(monos))
+    counts = np.zeros(len(batch), dtype=np.int64)
+    size = max(1, _CHUNK // max(1, len(batch)))
+    for _, values in _hermitian_blocks(h, batch.T[:, :, None], monos, size):
+        counts += np.count_nonzero(values == 0, axis=-1)
+    return counts
 
 
 # ---------------------------------------------------------------------------

@@ -171,3 +171,14 @@ def test_property_suites():
     elapsed = time.monotonic() - t0
     assert elapsed < 60, f"took {elapsed:.1f}s, budget 60s"
     _assert_all_pass(records)
+
+
+def test_monomial_fast_path_reports_an_off_count(monkeypatch):
+    # the batched count must still compare every alpha: a fast count off by
+    # one is a mismatch at every (q, d, alpha)
+    exact = reproduce.monomial_fast_count
+    monkeypatch.setattr(reproduce, "monomial_fast_count", lambda q, d, alpha: exact(q, d, alpha) + 1)
+    records = reproduce.check_monomial_fast_path()
+    assert [r["pass"] for r in records] == [False] * 6
+    assert [len(r["observed"]) for r in records] == [5 * (q * q - 1) for q in (2, 3, 4, 5, 7, 8)]
+    assert all(fast == full + 1 for r in records for _, _, fast, full in r["observed"])

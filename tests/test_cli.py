@@ -110,6 +110,28 @@ def test_verify_success_and_failure_exit_codes(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--family", "degree-q", "--q", "4", "--d", "9"], "degree-q at q=4 has degree 4, not d=9"),
+        (["construct", "--family", "sporadic-cubic", "--q", "5", "--d", "4"], "sporadic-cubic at q=5 has degree 3"),
+        (["verify", "--family", "full-point", "--q", "4", "--alpha", "w"], "full-point takes no alpha"),
+        (["construct", "--family", "secant-fan", "--q", "3", "--d", "4", "--alpha", "w"], "secant-fan takes no alpha"),
+    ],
+)
+def test_build_refuses_arguments_the_family_does_not_take(capsys, argv, message):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
+def test_verify_accepts_the_family_degree(capsys):
+    code, out, _ = run(capsys, "verify", "--family", "degree-q", "--q", "4", "--d", "4", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["d"] == 4
+
+
 def test_verify_json_record(capsys):
     code, out, _ = run(
         capsys, "verify", "--family", "even-half", "--q", "4", "--format", "json"

@@ -311,9 +311,9 @@ def test_largest_prime_field_powers_and_peak():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # the peak is the final tables (exp 3(p-1), log and neg p each) and two
-    # temporaries of p-1 entries; the fill stays under it
-    assert peak <= 7 * (p - 1) * 8 + (1 << 16)
+    # the peak is the final tables (exp 3(p-1), log and neg p each): the
+    # fill's table is freed once exp holds it, and neg is gathered in place
+    assert peak <= 5 * (p - 1) * 8 + (1 << 16)
     g = spec.generator
     k = np.random.default_rng(0).integers(0, p - 1, 10_000)
     assert spec._exp[k].tolist() == [pow(g, e, p) for e in k.tolist()]

@@ -17,6 +17,7 @@ from hermplane.plane import (
     hermitian_model,
     hermitian_points,
     intersection,
+    intersection_counts,
     monomials,
     partials,
     point_at_index,
@@ -265,12 +266,37 @@ def test_intersection_on_hermitian_points_matches_full_plane(case):
     assert rep.d == f.degree
 
 
+@st.composite
+def _hermitian_and_batch(draw):
+    q = draw(st.sampled_from((2, 3, 4, 5)))
+    h = hermitian_model(q, draw(st.sampled_from(("H1", "H2"))))
+    d = draw(st.sampled_from((0, 1, 2, 3, 4, q + 1)))
+    monos = monomials(d)
+    coeff = st.one_of(st.just(0), st.integers(0, q * q - 1))
+    rows = [st.lists(coeff, min_size=len(monos), max_size=len(monos)), st.just([0] * len(monos))]
+    if d == q + 1:
+        # h and its nonzero multiples
+        scale = st.integers(1, q * q - 1)
+        rows.append(scale.map(lambda c: [h.field.mul(c, h.terms.get(m, 0)) for m in monos]))
+    return h, d, monos, draw(st.lists(st.one_of(*rows), max_size=8))
+
+
+@given(_hermitian_and_batch())
+@settings(max_examples=60, deadline=None)
+def test_intersection_counts_match_single_intersections(case):
+    h, d, monos, batch = case
+    counts = intersection_counts(h, monos, batch)
+    assert counts.shape == (len(batch),)
+    want = [intersection(h, TernaryForm(h.field, d, dict(zip(monos, row)))).count for row in batch]
+    assert counts.tolist() == want
+
+
 @pytest.mark.parametrize("model", ["H1", "H2"])
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_blocks_smaller_than_a_row_change_nothing(monkeypatch, q, model):
     # a block of 7 points: intersection blocks end inside rows of the grid,
-    # the plane walks one row of x at a time, and the line listing takes one
-    # zero per group
+    # the plane walks one row of x at a time, the line listing takes one
+    # zero per group, and a batch of 10 forms takes one point per block
     rng = np.random.default_rng(q)
     h = hermitian_model(q, model)
     spec = h.field
@@ -280,7 +306,11 @@ def test_blocks_smaller_than_a_row_change_nothing(monkeypatch, q, model):
     want = [(np.flatnonzero(on_h & zero_mask(f)), evaluate_all(f)) for f in forms]
     batch = [[f.terms.get(m, 0) for m in monomials(3)] for f in forms if f.degree == 3]
     lines = vanishing_lines(spec, monomials(3), batch)
+    cubics = batch + rng.integers(0, spec.order, (8, 10)).tolist()
+    cubic_forms = (TernaryForm(spec, 3, dict(zip(monomials(3), row))) for row in cubics)
+    counts = [np.count_nonzero(on_h & zero_mask(f)) for f in cubic_forms]
     monkeypatch.setattr(plane, "_CHUNK", 7)
+    assert intersection_counts(h, monomials(3), cubics).tolist() == counts
     for f, (idx, values) in zip(forms, want):
         rep = intersection(h, f, with_points=True)
         assert rep.count == len(idx)
