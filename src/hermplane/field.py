@@ -140,7 +140,8 @@ class FieldSpec:
     Use :func:`make_field`; constructing directly bypasses the cache that
     guarantees a single shared instance per (p, m).  Sweeps that visit
     each field once (``splitting.survey_split``) construct directly, so
-    their tables are freed as they go.  Every table (exp, log, negation,
+    their tables are freed as they go; the survey builds only its proper
+    prime-power fields, as it counts over prime fields with no tables.  Every table (exp, log, negation,
     and the Zech table of an odd extension field) has O(q) entries.
     """
 
@@ -457,6 +458,14 @@ def field_of_order(q: int) -> FieldSpec:
 
 def ambient(q: int) -> FieldSpec:
     """The canonical F_{q^2}, for a prime power q."""
+    if not isinstance(q, (int, np.integer)):
+        # 4.0 == 4 would hit the cached F_16: refuse as prime_power does
+        prime_power(q)
+    return _ambient(q)
+
+
+@lru_cache(maxsize=None)
+def _ambient(q: int) -> FieldSpec:
     p, m = prime_power(q)
     return make_field(p, 2 * m)
 

@@ -5,7 +5,19 @@ yields, for any alpha of norm A, a monomial curve X Z^{d-1} = alpha Y^d
 meeting the Hermitian curve in d(q+1) rational points.  The roots of
 A t^d + t + 1 are the fiber of A under t -> -(t + 1) / t^d on F_q^*,
 so one vectorized pass of that map (`fiber_images`) and a bincount give
-the exact counts N_d(q) with witnesses.  The module also holds the
+the exact counts N_d(q) with witnesses.
+
+A prime field needs no field tables.  With u = 1/t the map becomes
+-(t + 1) / t^d = -u^(d-1) (u + 1), and t -> 1/t permutes F_p^*, so every
+A has the same fiber size under both maps: the counts and the witnesses
+are unchanged, and no inverse or generator is needed.  The prime pass
+(`_prime_fiber_hits`) evaluates -u^(d-1) (u + 1) mod p in int64 for a run
+of primes at once: their residues lie end to end in one array, each
+prime's images are shifted by the sum of the primes before it, and one
+bincount counts every fiber.  A product is reduced mod p only when the
+next one could pass 2^63 (p <= 2^24, so at least two residues always
+fit).  A run holds at most _GROUP_CAP residues; a larger prime is a run
+of its own.  The module also holds the
 closed forms for d = 3 and d = 4, the subfield existence criteria for d
 a power of the characteristic (or one more), the rho-parametrization of
 the roots, the genus of the splitting field, the resulting effective
@@ -22,6 +34,11 @@ from math import factorial, gcd, isqrt
 import numpy as np
 
 from .field import MAX_ORDER, FieldElem, FieldSpec, ambient, field_of_order, prime_power
+
+# the most residues the prime pass lays end to end in one int64 array;
+# a prime above it is swept alone, so no array outgrows the O(p) tables
+# a FieldSpec(p, 1) would hold
+_GROUP_CAP = 1 << 12
 
 
 @dataclass
@@ -46,16 +63,98 @@ def fiber_images(spec: FieldSpec, d: int, t: np.ndarray) -> np.ndarray:
 
 def _splitting_witnesses(spec: FieldSpec, d: int) -> list:
     """The A in F_q^* for which A t^d + t + 1 splits, ascending."""
-    if d < 2:
-        raise ValueError("need d >= 2")
+    _check_degree(d)
     images = fiber_images(spec, d, np.arange(1, spec.order, dtype=np.int64))
     # A = 0 has the single preimage t = -1, so it is never a witness
     return np.nonzero(np.bincount(images) == d)[0].tolist()
 
 
+def _check_degree(d: int) -> None:
+    if d < 2:
+        raise ValueError("need d >= 2")
+
+
+def _prime_fiber_hits(primes: list, d: int):
+    """(hits, starts) for a run of primes p_0 < p_1 < ...
+
+    Prime p_i owns the slots starts[i] .. starts[i] + p_i - 1, and
+    hits[starts[i] + A] is True when A t^d + t + 1 splits over F_{p_i},
+    that is when A has d preimages under u -> -u^(d-1) (u + 1) on F_p^*.
+    """
+    sizes = np.array(primes, dtype=np.int64)
+    starts = np.cumsum(sizes) - sizes
+    if len(primes) == 1:
+        mods, offsets = primes[0], 0
+    else:
+        mods = np.repeat(sizes, sizes)
+        offsets = np.repeat(starts, sizes)
+    # u runs over 0 .. p-1 for each prime; u = 0 maps to A = 0, whose
+    # slot is cleared below, as A = 0 is never a witness
+    u = np.arange(int(sizes.sum()), dtype=np.int64)
+    u -= offsets
+    # a product of k factors, each at most p, fits in an int64, so an
+    # array is reduced mod p only when its next product could overflow
+    k = 1
+    while max(primes) ** (k + 1) < 1 << 63:
+        k += 1
+    # power = (u + 1) u^(d-1), by repeated squaring of base = u
+    power, n = u + 1, 1
+    base, b, e = u, 1, d - 1
+    while True:
+        if e & 1:
+            n = _lazy_mul(power, n, base, b, mods, k)
+        e >>= 1
+        if not e:
+            break
+        b = _lazy_mul(base, b, base, b, mods, k)
+    np.negative(power, out=power)
+    power %= mods
+    power += offsets
+    hits = np.bincount(power, minlength=len(u)) == d
+    hits[starts] = False
+    return hits, starts
+
+
+def _lazy_mul(x, nx, y, ny, mods, k):
+    """x *= y in place, where x and y are products of nx and ny factors
+    of at most p each; either is first reduced mod p if the product
+    could exceed k factors.  Returns the factor count of the new x."""
+    if nx + ny > k:
+        x %= mods
+        nx = 1
+        if y is x:
+            ny = 1
+    if nx + ny > k:
+        y %= mods
+        ny = 1
+    x *= y
+    return nx + ny
+
+
+def _prime_runs(primes: list):
+    """The primes, ascending, cut into runs of at most _GROUP_CAP residues."""
+    run, size = [], 0
+    for p in primes:
+        if run and size + p > _GROUP_CAP:
+            yield run
+            run, size = [], 0
+        run.append(p)
+        size += p
+    if run:
+        yield run
+
+
 def count_splitting_A(q: int, d: int) -> SplitCountReport:
-    """N_d(q) with the witnesses A in F_q^* for which A t^d + t + 1 splits."""
-    witnesses = _splitting_witnesses(field_of_order(q), d)
+    """N_d(q) with the witnesses A in F_q^* for which A t^d + t + 1 splits.
+
+    A prime q takes the prime pass; a prime power builds its field.
+    """
+    p, m = prime_power(q)
+    if m == 1:
+        _check_degree(d)
+        witnesses = np.nonzero(_prime_fiber_hits([p], d)[0])[0].tolist()
+    else:
+        witnesses = _splitting_witnesses(field_of_order(q), d)
     closed = None
     if d == 3:
         closed = n3_closed_form(q)
@@ -241,19 +340,30 @@ def survey_split(d: int, q_max: int, gcd_filter: int | None = None):
     """[(q, N_d(q))] over prime powers q <= q_max.
 
     With gcd_filter = n, only q coprime to n are swept (the regime of
-    the genus/threshold formulas uses n = d(d-1)).  Each field is built
-    uncached and dropped after its count, so the sweep holds one field's
-    tables at a time.  A filter below 1 is refused (0 would sweep nothing,
-    since gcd(q, 0) = q), and so is a q_max above MAX_ORDER, before the
-    sieve is allocated.
+    the genus/threshold formulas uses n = d(d-1)).  The primes take the
+    prime pass of the module docstring: no field tables, runs of at most
+    _GROUP_CAP residues per bincount, so the largest array is O(p) for a
+    prime beyond the cap and O(_GROUP_CAP) below it.  Each proper prime
+    power builds its field uncached and drops it after its count, so the
+    sweep holds one field's tables at a time.  A d below 2 is refused, as
+    is a filter below 1 (0 would sweep nothing, since gcd(q, 0) = q) and
+    a q_max above MAX_ORDER, all before the sieve is allocated.
     """
+    _check_degree(d)
     if gcd_filter is not None and gcd_filter < 1:
         raise ValueError(f"gcd filter must be >= 1 (got {gcd_filter})")
     if q_max > MAX_ORDER:
         raise ValueError(f"survey q_max {q_max} exceeds the largest field order {MAX_ORDER}")
-    rows = []
-    for q, p, m in _prime_power_factors(2, q_max):
-        if gcd_filter is not None and gcd(q, gcd_filter) != 1:
-            continue
-        rows.append((q, len(_splitting_witnesses(FieldSpec(p, m), d))))
-    return rows
+    swept = [
+        (q, p, m)
+        for q, p, m in _prime_power_factors(2, q_max)
+        if gcd_filter is None or gcd(q, gcd_filter) == 1
+    ]
+    counts = {}
+    for run in _prime_runs([q for q, _, m in swept if m == 1]):
+        hits, starts = _prime_fiber_hits(run, d)
+        counts.update(zip(run, np.add.reduceat(hits, starts, dtype=np.int64).tolist()))
+    return [
+        (q, counts[q] if m == 1 else len(_splitting_witnesses(FieldSpec(p, m), d)))
+        for q, p, m in swept
+    ]

@@ -203,6 +203,8 @@ def test_construct_rejects_out_of_range_alpha(capsys):
             ["thresholds", "--d", "5", "1000"],
             "d=1000 gives integers of more than 4300 digits, the limit for printing an integer",
         ),
+        (["survey", "--d", "1", "--q-max", "1"], "need d >= 2"),
+        (["survey", "--d", "1", "--q-max", "100"], "need d >= 2"),
     ],
 )
 def test_unreadable_or_empty_input_is_usage_error(capsys, argv, message):

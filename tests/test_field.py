@@ -15,6 +15,7 @@ from hermplane.field import (
     FieldElem,
     FieldError,
     FieldSpec,
+    ambient,
     field_of_order,
     frobenius,
     make_field,
@@ -109,6 +110,24 @@ def test_field_spec_checks_bounds_before_primality():
         FieldSpec(4093 * 4099, 1)
     with pytest.raises(FieldError, match="not an integer"):
         FieldSpec(3.0, 2)
+
+
+def test_ambient_is_cached_and_still_refuses(monkeypatch):
+    from hermplane import field
+
+    assert ambient(4) is ambient(4) is make_field(2, 4)
+
+    def no_factoring(q):
+        raise AssertionError("q factored again")
+
+    monkeypatch.setattr(field, "prime_power", no_factoring)
+    assert ambient(4) is make_field(2, 4)
+    monkeypatch.undo()
+    # 4.0 == 4 and hashes alike, yet must not reach the cached F_16
+    with pytest.raises(FieldError, match="4.0 is not an integer"):
+        ambient(4.0)
+    with pytest.raises(FieldError, match="6 is not a prime power"):
+        ambient(6)
 
 
 def test_field_specs_are_cached():

@@ -3,7 +3,7 @@ from math import isqrt
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from sympy import factorint
+from sympy import factorint, isprime
 
 from hermplane.crosscheck import fiber_survey
 from hermplane import splitting
@@ -212,6 +212,36 @@ def test_prime_powers_match_factorint():
     assert prime_powers((1 << 12) * 3, (1 << 12) * 3) == []
 
 
+@given(st.sampled_from([p for p in prime_powers(2, 200) if isprime(p)]), st.integers(2, 7))
+@settings(max_examples=60, deadline=None)
+def test_prime_pass_matches_brute_force(p, d):
+    assert count_splitting_A(p, d).witnesses == _brute_witnesses(p, d)
+
+
+def test_prime_pass_matches_field_tables_beyond_the_cap():
+    # 65537 and 2^21 + 17 are swept alone, with a product of at most 3
+    # and 2 residues per int64 before each reduction
+    for p in (4099, 65537, 2097169):
+        for d in (2, 6, 7, 1000):
+            want = _splitting_witnesses(FieldSpec(p, 1), d)
+            assert count_splitting_A(p, d).witnesses == want, (p, d)
+
+
+@pytest.mark.parametrize("cap", [1, 1 << 12, 1 << 20])
+def test_survey_rows_do_not_depend_on_the_group_cap(monkeypatch, cap):
+    # one prime per run; primes above the cap alone; every prime in one run
+    want = {(d, f): survey_split(d, 5000, f) for d in (2, 6) for f in (None, 30)}
+    monkeypatch.setattr(splitting, "_GROUP_CAP", cap)
+    for (d, f), rows in want.items():
+        assert survey_split(d, 5000, f) == rows, (cap, d, f)
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6])
+def test_survey_matches_independent_fiber_count(d):
+    for f in (None, 20, 30):
+        assert survey_split(d, 400, f) == fiber_survey(d, 2, 400, f), (d, f)
+
+
 def test_survey_rows_and_filter():
     rows = survey_split(3, 30)
     assert dict(rows)[13] == 1
@@ -246,6 +276,10 @@ def test_survey_cap(monkeypatch):
     monkeypatch.setattr(splitting, "_prime_power_factors", no_sweep)
     with pytest.raises(ValueError, match="q_max 16777217 exceeds the largest field order 16777216"):
         survey_split(6, MAX_ORDER + 1)
+    for d in (1, 0, -3):
+        for q_max in (1, 100):
+            with pytest.raises(ValueError, match="need d >= 2"):
+                survey_split(d, q_max)
 
 
 def test_sextic_survey_to_the_threshold():
