@@ -18,11 +18,11 @@ from functools import cache
 
 from .constructions import ConstructionError, FAMILIES, build, measure
 from .field import MAX_ORDER, FieldError, prime_power
-from .plane import hermitian_model, hermitian_points, intersection, points_on
+from .plane import hermitian_model, hermitian_points, intersection
 from .search import SearchBudgetError, exhaustive_negative_search
 from .serialize import (
     curve_to_dict,
-    format_element,
+    format_points,
     load_curve,
     save_curve,
 )
@@ -72,23 +72,17 @@ def _cell(v):
     return str(v)
 
 
-def _point_str(P):
-    return "[" + ":".join(format_element(c) for c in P.coords) + "]"
-
-
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
 def cmd_hermitian_points(args):
+    idx = hermitian_points(args.q, args.model)
     if args.emit_points:
-        recs = [
-            {"q": args.q, "model": args.model, "point": _point_str(P)}
-            for P in points_on(hermitian_model(args.q, args.model))
-        ]
+        points = format_points(hermitian_model(args.q, args.model).field, idx)
+        recs = [{"q": args.q, "model": args.model, "point": P} for P in points]
     else:
-        n = len(hermitian_points(args.q, args.model))
-        recs = [{"q": args.q, "model": args.model, "points": n}]
+        recs = [{"q": args.q, "model": args.model, "points": len(idx)}]
     _emit(recs, args.format)
     return 0
 
@@ -100,7 +94,7 @@ def cmd_intersect(args):
         raise ConstructionError(
             f"curve lives over order {f.field.order}, expected {h.field.order}"
         )
-    rep = intersection(h, f, with_points=args.emit_points)
+    rep = intersection(h, f)
     rec = {
         "q": args.q,
         "model": args.model,
@@ -109,7 +103,7 @@ def cmd_intersect(args):
         "degenerate": rep.degenerate,
     }
     if args.emit_points:
-        rec["points"] = [_point_str(P) for P in rep.points]
+        rec["points"] = format_points(h.field, rep.points)
     _emit([rec], args.format)
     return 0
 

@@ -11,16 +11,15 @@ The tables come from F_p-linear algebra on digit vectors: multiplication by
 c is an m x m matrix T over F_p (rows built from the companion matrix of the
 modulus).  The generator is the first c in encoding order that passes the
 order test c^((q-1)/r) != 1 for every prime r dividing q-1, where c^e is
-read off T^e by repeated squaring (a modular pow when m = 1); in an
-extension field its powers then fill in log2(q) matrix doublings.  A prime
-field needs no matrices: its powers g^(iB + j), B = isqrt(p-2) + 1, are one
-int64 outer product of the giant steps g^(iB) and the baby steps g^j,
-reduced mod p.  Addition is XOR in characteristic 2 and a sum mod p in a
-prime field.  Odd extension fields add by Zech's logarithms (Lidl and
-Niederreiter, Finite Fields): g^i + g^j = g^(i + Z(j-i)) with
-Z(k) = log(1 + g^k), and 1 + g^k differs from g^k only in the lowest
-base-p digit.  log 0 = 2(q-1)+1 points into q-1 zeros after the exp table,
-so a = 0, b = 0 and a + b = 0 come out of the same lookups.
+read off T^e by repeated squaring (a modular pow when m = 1); its powers
+then fill in log2(q) matrix doublings, in every field alike (a prime
+field's matrices are 1 x 1: its modulus is x).  Addition is XOR in
+characteristic 2 and a sum mod p in a prime field.  Odd extension fields
+add by Zech's logarithms (Lidl and Niederreiter, Finite Fields):
+g^i + g^j = g^(i + Z(j-i)) with Z(k) = log(1 + g^k), and 1 + g^k differs
+from g^k only in the lowest base-p digit.  log 0 = 2(q-1)+1 points into
+q-1 zeros after the exp table, so a = 0, b = 0 and a + b = 0 come out of
+the same lookups.
 Vectorized (numpy) variants of all operations are provided for the hot
 enumeration loops elsewhere in the package.
 
@@ -32,7 +31,7 @@ factored, so divisors up to 4096 suffice.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 
 import numpy as np
 
@@ -102,27 +101,6 @@ def _mod_p(a, p):
     return a
 
 
-def _powers_mod_p(g, p):
-    """g^0 .. g^(p-2) mod p as an int64 array, from one blocked product.
-
-    With B = isqrt(p-2) + 1 baby steps g^j (j < B) and ceil((p-1)/B)
-    giant steps g^(iB), g^(iB + j) is entry (i, j) of their outer product
-    mod p.  With p < 2^24 each product is below 2^48, so int64 is exact.
-    """
-    n = p - 1
-    b = isqrt(n - 1) + 1
-    baby = [1]
-    for _ in range(b - 1):
-        baby.append(baby[-1] * g % p)
-    step = baby[-1] * g % p
-    giant = [1]
-    for _ in range(-(-n // b) - 1):
-        giant.append(giant[-1] * step % p)
-    table = np.multiply.outer(np.array(giant, dtype=np.int64), np.array(baby, dtype=np.int64))
-    np.remainder(table, p, out=table)
-    return table.ravel()[:n]
-
-
 def _encode(coeffs, p):
     n = 0
     for c in reversed(coeffs):
@@ -141,8 +119,10 @@ class FieldSpec:
     guarantees a single shared instance per (p, m).  Sweeps that visit
     each field once (``splitting.survey_split``) construct directly, so
     their tables are freed as they go; the survey builds only its proper
-    prime-power fields, as it counts over prime fields with no tables.  Every table (exp, log, negation,
-    and the Zech table of an odd extension field) has O(q) entries.
+    prime-power fields, as it counts over prime fields with no tables.
+    Every field, prime or not, fills its exp table by the same matrix
+    doubling (`_fill_powers`).  Every table (exp, log, negation, and the
+    Zech table of an odd extension field) has O(q) entries.
     """
 
     def __init__(self, p: int, m: int):
@@ -161,8 +141,7 @@ class FieldSpec:
     # -- construction helpers ------------------------------------------------
 
     def _canonical_modulus(self):
-        if self.m == 1:
-            return (0, 1)  # the polynomial x; elements are residues mod p
+        """The monic irreducible of degree m with the smallest encoding: x when m = 1."""
         for enc in range(self.p ** self.m):
             cand = _decode(enc, self.p, self.m) + [1]
             if _is_irreducible(cand, self.p):
@@ -172,22 +151,18 @@ class FieldSpec:
     def _build_tables(self):
         p, m, q1 = self.p, self.m, self.order - 1
         pw = p ** np.arange(m, dtype=np.int64)
-        if m == 1:
-            self.generator = self._find_generator(None, pw)
-            exp = _powers_mod_p(self.generator, p)
-        else:
-            # multiplying a digit row by the companion matrix multiplies by x.
-            # The digit algebra runs on float64 (BLAS products), exact because
-            # a product of digit rows sums at most m*(p-1)^2 < 2^53.
-            comp = np.zeros((m, m))
-            comp[:-1, 1:] = np.eye(m - 1)
-            comp[-1] = np.negative(self.modulus[:m]) % p
-            self.generator = self._find_generator(comp, pw)
-            rows = np.zeros((q1, m))
-            rows[0, 0] = 1
-            self._fill_powers(rows, self._mul_matrices([self.generator], comp)[0])
-            exp = (rows @ pw).astype(np.int64)
-            del rows  # the peak of a large build
+        # multiplying a digit row by the companion matrix multiplies by x.
+        # The digit algebra runs on float64 (BLAS products), exact because a
+        # product of digit rows sums at most m*(p-1)^2 < 2^53.
+        comp = np.zeros((m, m))
+        comp[:-1, 1:] = np.eye(m - 1)
+        comp[-1] = np.negative(self.modulus[:m]) % p
+        self.generator = self._find_generator(comp, pw)
+        rows = np.zeros((q1, m))
+        rows[0, 0] = 1
+        self._fill_powers(rows, self._mul_matrices([self.generator], comp)[0])
+        exp = (rows @ pw).astype(np.int64)
+        del rows  # the peak of a large build
         if np.flatnonzero(exp == 1).tolist() != [0]:
             raise AssertionError(f"{self.generator} is not primitive in F_{self.order}")
         # log 0: added to any log in [0, q-1), it lands in the zero tail
@@ -260,9 +235,9 @@ class FieldSpec:
     def _fill_powers(self, rows, T):
         """Write the digits of c^0 .. c^(q-2) into rows, T the matrix of c.
 
-        Extension fields only (prime fields use `_powers_mod_p`).  Each
-        doubling step rows[k:2k] = rows[:k] @ T, T = T @ T doubles the
-        powers known.
+        Every field fills this way; a prime field's rows and T are 1 x 1,
+        residues mod p.  Each doubling step rows[k:2k] = rows[:k] @ T,
+        T = T @ T doubles the powers known.
         """
         p = self.p
         k = 1

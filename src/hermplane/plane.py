@@ -7,12 +7,12 @@ factor certificate used as an absolute-irreducibility certifier.
 Every evaluation of forms at points goes through one kernel,
 `form_values`: sum of c * X^i Y^j Z^k over broadcastable numpy arrays of
 coordinate encodings, each term one exp gather in the log domain
-(`FieldSpec.monomial_v`).  Point counting enumerates P^2(F_{q^2}) as
-three charts, (x, y, 1) on a Q x Q grid, (x, 1, 0) and (1, 0, 0);
-`point_coords` maps enumeration indices back to coordinates and
-`point_index` coordinates to indices, so point subsets (the Hermitian
-points, the points off a curve, the points of a line) are evaluated or
-looked up without building `ProjPoint`s.
+(`FieldSpec.monomial_v`).  A point is its index in the enumeration of
+P^2(F_{q^2}) as three charts, (x, y, 1) on a Q x Q grid, (x, 1, 0) and
+(1, 0, 0); `point_coords` maps indices back to these coordinates and
+`point_index` coordinates to indices.  Every point set (the points of a
+curve, the Hermitian points, an intersection, the points of a line) is an
+index array; only the CLI prints points (`serialize.format_points`).
 Large point sets are walked in blocks of about _CHUNK = 2^16 points, so
 the kernel's int64 temporaries stay near L2 size whatever q is: the plane
 (`_plane_blocks`, behind `evaluate_all`, `zero_mask` and the zero mask of
@@ -70,7 +70,7 @@ from math import isqrt
 
 import numpy as np
 
-from .field import FieldElem, FieldError, FieldSpec, ambient
+from .field import FieldError, FieldSpec, ambient
 from .unipoly import UniPoly, factor_degrees, is_squarefree
 
 # largest field whose plane `evaluate_all` builds: F_{64^2}, 16.8 M points
@@ -211,56 +211,10 @@ class TernaryForm:
 # points
 # ---------------------------------------------------------------------------
 
-class ProjPoint:
-    """A point of P^2(F_{q^2}), normalized so the leftmost nonzero coordinate is 1."""
-
-    __slots__ = ("spec", "coords")
-
-    def __init__(self, x: FieldElem, y: FieldElem, z: FieldElem):
-        spec = x.spec
-        if y.spec is not spec or z.spec is not spec:
-            raise FieldError("mixed-field coordinates")
-        vals = (x.val, y.val, z.val)
-        if vals == (0, 0, 0):
-            raise ValueError("(0:0:0) is not a projective point")
-        first = next(v for v in vals if v)
-        inv = spec.inv(first)
-        self.spec = spec
-        self.coords = tuple(FieldElem(spec, spec.mul(inv, v)) for v in vals)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ProjPoint)
-            and self.spec is other.spec
-            and tuple(c.val for c in self.coords) == tuple(c.val for c in other.coords)
-        )
-
-    def __hash__(self):
-        return hash((id(self.spec), tuple(c.val for c in self.coords)))
-
-    def key(self):
-        return tuple(c.val for c in self.coords)
-
-    def __repr__(self):
-        x, y, z = self.coords
-        return f"[{x.coeffs()}:{y.coeffs()}:{z.coeffs()}]"
-
-
-def point_at_index(spec: FieldSpec, idx: int) -> ProjPoint:
-    """The idx-th point of the canonical enumeration."""
-    return _proj_points(spec, [idx])[0]
-
-
-def _proj_points(spec: FieldSpec, idx) -> list[ProjPoint]:
-    """The points of enumeration indices idx, built from `point_coords`."""
-    coords = zip(*(v.tolist() for v in point_coords(spec.order, idx)))
-    return [ProjPoint(*(FieldElem(spec, v) for v in xyz)) for xyz in coords]
-
-
 def point_coords(Q: int, idx):
     """Coordinate arrays (X, Y, Z) of the idx-th points of the canonical
     enumeration over F_Q, as the chart representatives (x, y, 1), (x, 1, 0)
-    and (1, 0, 0) that `evaluate_all` uses; a vectorized `point_at_index`."""
+    and (1, 0, 0) that `evaluate_all` uses."""
     idx = np.asarray(idx, dtype=np.int64)
     affine = idx < Q * Q
     line = ~affine & (idx < Q * Q + Q)
@@ -356,8 +310,8 @@ def zero_mask(f: TernaryForm) -> np.ndarray:
     return out
 
 
-def _rational_points(f: TernaryForm) -> np.ndarray:
-    """Enumeration indices of the rational points of f = 0, ascending.
+def points_on(f: TernaryForm) -> np.ndarray:
+    """Enumeration indices of the F_{q^2}-rational points of f = 0, ascending.
 
     A Hermitian model reads its cached point set; any other form is
     evaluated on the whole plane.
@@ -366,11 +320,6 @@ def _rational_points(f: TernaryForm) -> np.ndarray:
     if variant is not None:
         return hermitian_points(isqrt(f.field.order), variant)
     return np.flatnonzero(zero_mask(f))
-
-
-def points_on(f: TernaryForm) -> list[ProjPoint]:
-    """All F_{q^2}-rational points of the curve f = 0."""
-    return _proj_points(f.field, _rational_points(f))
 
 
 # ---------------------------------------------------------------------------
@@ -441,10 +390,14 @@ def hermitian_points(q: int, variant: str = "H1") -> np.ndarray:
 
 @dataclass
 class IntersectionReport:
+    """The common points of a Hermitian model and a curve of degree d over
+    F_{q^2}: `points` holds their enumeration indices, ascending, and
+    `degenerate` flags a curve that is the model up to a scalar."""
+
     q: int
     d: int
     count: int
-    points: list | None = None
+    points: np.ndarray
     degenerate: bool = False
 
 
@@ -473,9 +426,7 @@ def _hermitian_blocks(h: TernaryForm, coeffs, monos, size: int):
     yield rest, form_values(spec, coeffs, monos, rest - Q * Q, 1, 0)
 
 
-def intersection(
-    h: TernaryForm, f: TernaryForm, with_points: bool = False
-) -> IntersectionReport:
+def intersection(h: TernaryForm, f: TernaryForm) -> IntersectionReport:
     """Count the common F_{q^2}-rational points of a Hermitian model h and f.
 
     f is evaluated only at the q^3+1 points of h (`hermitian_points`),
@@ -487,10 +438,7 @@ def intersection(
     coeffs, monos = tuple(f.terms.values()), tuple(f.terms)
     blocks = _hermitian_blocks(h, coeffs, monos, _CHUNK)
     idx = np.concatenate([points[values == 0] for points, values in blocks])
-    report = IntersectionReport(isqrt(h.field.order), f.degree, len(idx), degenerate=(f == h))
-    if with_points:
-        report.points = _proj_points(h.field, idx)
-    return report
+    return IntersectionReport(isqrt(h.field.order), f.degree, len(idx), idx, f == h)
 
 
 def intersection_counts(h: TernaryForm, monos, batch) -> np.ndarray:

@@ -457,10 +457,9 @@ CHECKS = [
 
 
 def run_all(only: str | None = None):
-    """Run every check (or those whose group name contains `only`)."""
-    records = []
-    for name, fn in CHECKS:
-        if only and only not in name:
-            continue
-        records.extend(fn())
-    return records
+    """Run every check (or those whose group name contains `only`); a
+    ValueError when `only` matches no group."""
+    checks = [fn for name, fn in CHECKS if not only or only in name]
+    if not checks:
+        raise ValueError(f"no check group name contains {only!r}")
+    return [r for fn in checks for r in fn()]

@@ -2,23 +2,35 @@
 
 Field elements print as coefficient vectors "[c0,c1,...]" against the
 canonical modulus, and "0" is the zero element; they are read from that
-form, from generator powers "w^k" and from integer encodings.  Curves
-serialize to JSON with their field, degree, model tag and sparse term
-list.
+form, from generator powers "w^k" and from integer encodings.  Points,
+held as enumeration indices everywhere else, print as "[x:y:z]" scaled so
+that the first nonzero coordinate is 1.  Curves serialize to JSON with
+their field, degree, model tag and sparse term list.
 """
 
 from __future__ import annotations
 
 import json
 
+import numpy as np
+
 from .field import FieldElem, FieldSpec, make_field
-from .plane import TernaryForm
+from .plane import TernaryForm, point_coords
 
 
 def format_element(x: FieldElem) -> str:
     if x.val == 0:
         return "0"
     return "[" + ",".join(str(c) for c in x.coeffs()) + "]"
+
+
+def format_points(spec: FieldSpec, idx) -> list[str]:
+    """The points of enumeration indices idx as "[x:y:z]", each scaled by
+    the inverse of its first nonzero coordinate."""
+    X, Y, Z = point_coords(spec.order, idx)
+    inv = spec.pow_v(np.where(X != 0, X, np.where(Y != 0, Y, Z)), -1)
+    coords = zip(*(spec.mul_v(v, inv).tolist() for v in (X, Y, Z)))
+    return ["[" + ":".join(format_element(FieldElem(spec, v)) for v in xyz) + "]" for xyz in coords]
 
 
 def parse_element(spec: FieldSpec, text) -> FieldElem:

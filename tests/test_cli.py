@@ -8,7 +8,9 @@ import pytest
 
 from hermplane import cli
 from hermplane.cli import main
+from hermplane.field import FieldElem
 from hermplane.plane import hermitian_model, zero_mask
+from hermplane.serialize import format_element, load_curve
 
 
 def run(capsys, *argv):
@@ -31,6 +33,60 @@ def test_hermitian_points_emit(capsys):
     lines = [json.loads(l) for l in out.strip().splitlines()]
     assert len(lines) == 9
     assert all("point" in r for r in lines)
+
+
+def _value(f, xyz):
+    """The encoding of f(x, y, z), term by term in scalar arithmetic."""
+    spec, acc = f.field, 0
+    for m, c in f.terms.items():
+        for v, e in zip(xyz, m):
+            c = spec.mul(c, spec.pow(v, e))
+        acc = spec.add(acc, c)
+    return acc
+
+
+def _printed_points(forms):
+    """The common points of `forms` as --emit-points prints them, one point
+    at a time: in enumeration order, each scaled so that its first nonzero
+    coordinate is 1, each coordinate printed by format_element."""
+    spec = forms[0].field
+    Q = spec.order
+    charts = [(x, y, 1) for x in range(Q) for y in range(Q)]
+    charts += [(x, 1, 0) for x in range(Q)] + [(1, 0, 0)]
+    out = []
+    for xyz in charts:
+        if any(_value(f, xyz) for f in forms):
+            continue
+        inv = spec.inv(next(v for v in xyz if v))
+        coords = (format_element(FieldElem(spec, spec.mul(inv, v))) for v in xyz)
+        out.append("[" + ":".join(coords) + "]")
+    return out
+
+
+@pytest.mark.parametrize("model", ["H1", "H2"])
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_hermitian_points_emit_match_brute_force(capsys, q, model):
+    code, out, _ = run(
+        capsys, "hermitian-points", "--q", str(q), "--model", model,
+        "--emit-points", "--format", "json",
+    )
+    assert code == 0
+    points = [json.loads(line)["point"] for line in out.splitlines()]
+    assert len(points) == q**3 + 1
+    assert points == _printed_points([hermitian_model(q, model)])
+
+
+def test_intersect_emit_points_match_brute_force(capsys, tmp_path):
+    path = str(tmp_path / "curve.json")
+    assert main(["construct", "--family", "degree-q", "--q", "3", "--output", path]) == 0
+    capsys.readouterr()
+    code, out, _ = run(
+        capsys, "intersect", "--curve", path, "--q", "3", "--emit-points", "--format", "json"
+    )
+    assert code == 0
+    rec = json.loads(out)
+    assert rec["count"] == len(rec["points"]) == 12
+    assert rec["points"] == _printed_points([hermitian_model(3, "H1"), load_curve(path)])
 
 
 @pytest.mark.parametrize("model", ["H1", "H2"])
@@ -336,6 +392,13 @@ def test_reproduce_paper_filter(capsys):
     assert len(recs) == 6
     assert all(r["pass"] for r in recs)
     assert "millis" not in recs[0]
+
+
+def test_reproduce_paper_filter_matching_nothing_is_usage_error(capsys):
+    code, out, err = run(capsys, "reproduce-paper", "--only", "nosuchgroup")
+    assert code == 2
+    assert out == ""
+    assert "'nosuchgroup'" in err and "claims" not in err
 
 
 def test_deterministic_output(capsys):

@@ -51,8 +51,8 @@ def test_full_point_curve_contains_all_hermitian_points():
         f = full_point_curve(q)
         assert f.degree == q * q - q + 1
         h = hermitian_model(q, "H1")
-        herm = set(p.key() for p in points_on(h))
-        ours = set(p.key() for p in points_on(f))
+        herm = set(points_on(h).tolist())
+        ours = set(points_on(f).tolist())
         assert herm <= ours
         assert _count(q, "H1", f) == q**3 + 1
 

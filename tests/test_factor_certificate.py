@@ -17,7 +17,6 @@ from hermplane.constructions import build, degree_q_curve, secant_fan_curve, spo
 from hermplane.field import FieldElem, field_of_order
 from hermplane import plane
 from hermplane.plane import (
-    ProjPoint,
     TernaryForm,
     _partials_vanish_only_at_zero,
     _restrictions,
@@ -90,6 +89,12 @@ def _oracle_factor(f):
     return None, complete
 
 
+def _normalized(spec, xyz):
+    """The coordinates of (x : y : z) scaled so that the first nonzero one is 1."""
+    inv = spec.inv(next(v for v in xyz if v))
+    return tuple(spec.mul(inv, v) for v in xyz)
+
+
 def _xyz(spec):
     return [TernaryForm(spec, 1, {m: 1}) for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
 
@@ -112,7 +117,7 @@ def test_lines_cover_the_plane():
             on = form_values(spec, coeffs, monos, *point_coords(Q, np.arange(n))) == 0
             assert sorted(point_index(spec, X[i], Y[i], Z[i]).tolist()) == np.flatnonzero(on).tolist()
             keys = {
-                ProjPoint(*(FieldElem(spec, int(v[i, j])) for v in (X, Y, Z))).key()
+                _normalized(spec, (int(X[i, j]), int(Y[i, j]), int(Z[i, j])))
                 for j in range(Q + 1)
             }
             assert len(keys) == Q + 1

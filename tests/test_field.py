@@ -315,7 +315,7 @@ def test_prime_field_generator_is_least_primitive_root(p, root):
 
 
 def test_prime_field_powers_match_pow():
-    # p = 2 and 3 take one and two baby steps, so a single giant step
+    # p = 2 and 3 fill in no doubling and in one
     for p in filter(isprime, range(2, 1 << 13)):
         spec = FieldSpec(p, 1)  # uncached: 1028 fields would stay alive
         g = spec.generator

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from hermplane import plane
 from hermplane.field import FieldElem, FieldError, field_of_order
 from hermplane.plane import (
-    ProjPoint,
     TernaryForm,
     absolute_irreducibility_status,
     divides,
@@ -20,7 +19,6 @@ from hermplane.plane import (
     intersection_counts,
     monomials,
     partials,
-    point_at_index,
     point_coords,
     point_index,
     points_on,
@@ -33,25 +31,38 @@ from hermplane.plane import (
 # scalar references for the vectorized kernel: point enumeration,
 # evaluation at a point and the singularity test, one point at a time
 
-def enumerate_proj_points(spec):
-    """All Q^2+Q+1 points: chart Z=1, then (x:1:0), then [1:0:0]."""
-    one, zero = spec.one(), spec.zero()
+def normalized(spec, xyz):
+    """The coordinates of the point (x : y : z) scaled so that the first
+    nonzero one is 1."""
+    inv = spec.inv(next(v for v in xyz if v))
+    return tuple(spec.mul(inv, v) for v in xyz)
+
+
+def enumerate_points(spec):
+    """All Q^2+Q+1 points, normalized: chart Z=1, then (x:1:0), then [1:0:0]."""
     for xv in range(spec.order):
         for yv in range(spec.order):
-            yield ProjPoint(FieldElem(spec, xv), FieldElem(spec, yv), one)
+            yield normalized(spec, (xv, yv, 1))
     for xv in range(spec.order):
-        yield ProjPoint(FieldElem(spec, xv), one, zero)
-    yield ProjPoint(one, zero, zero)
+        yield normalized(spec, (xv, 1, 0))
+    yield (1, 0, 0)
 
 
-def evaluate(f, P):
-    """Value of f at the normalized representative of P."""
+def coordinate_triples(Q, idx):
+    """The chart coordinates (x, y, z) of enumeration indices idx, as ints."""
+    return list(zip(*(v.tolist() for v in point_coords(Q, idx))))
+
+
+def evaluate(f, xyz):
+    """The encoding of the value of f at the coordinates xyz."""
     K = f.field
-    xv, yv, zv = (c.val for c in P.coords)
     acc = 0
-    for (i, j, k), c in f.terms.items():
-        acc = K.add(acc, K.mul(c, K.mul(K.pow(xv, i), K.mul(K.pow(yv, j), K.pow(zv, k)))))
-    return FieldElem(K, acc)
+    for m, c in f.terms.items():
+        term = c
+        for v, e in zip(xyz, m):
+            term = K.mul(term, K.pow(v, e))
+        acc = K.add(acc, term)
+    return acc
 
 
 def is_singular_point(f, P):
@@ -72,20 +83,19 @@ def test_monomial_count():
 def test_projective_point_count():
     for q in (4, 9, 16, 25):
         spec = field_of_order(q)
-        pts = list(enumerate_proj_points(spec))
+        pts = list(enumerate_points(spec))
         assert len(pts) == q * q + q + 1
         assert len(set(pts)) == len(pts)
 
 
-def test_point_at_index_matches_enumeration():
+def test_point_coords_match_enumeration():
     spec = field_of_order(9)
-    pts = list(enumerate_proj_points(spec))
+    pts = list(enumerate_points(spec))
     for i in (0, 1, 17, len(pts) - 1):
-        assert point_at_index(spec, i) == pts[i]
-    # the vectorized form, at every index
-    X, Y, Z = point_coords(9, np.arange(len(pts)))
-    for i, P in enumerate(pts):
-        assert ProjPoint(*(FieldElem(spec, int(v[i])) for v in (X, Y, Z))) == P
+        assert normalized(spec, tuple(int(v) for v in point_coords(9, i))) == pts[i]
+    # an index array, at every index
+    for xyz, P in zip(coordinate_triples(9, np.arange(len(pts))), pts, strict=True):
+        assert normalized(spec, xyz) == P
 
 
 def _chart_representative(Q, idx):
@@ -95,17 +105,6 @@ def _chart_representative(Q, idx):
     if idx < Q * Q + Q:
         return idx - Q * Q, 1, 0
     return 1, 0, 0
-
-
-def _scalar_value(f, xyz):
-    K = f.field
-    acc = 0
-    for m, c in f.terms.items():
-        term = c
-        for v, e in zip(xyz, m):
-            term = K.mul(term, K.pow(v, e))
-        acc = K.add(acc, term)
-    return acc
 
 
 @st.composite
@@ -124,7 +123,7 @@ def test_evaluate_all_matches_scalar_evaluation(f):
     Q = f.field.order
     values = evaluate_all(f)
     assert values.shape == (Q * Q + Q + 1,)
-    want = [_scalar_value(f, _chart_representative(Q, i)) for i in range(len(values))]
+    want = [evaluate(f, _chart_representative(Q, i)) for i in range(len(values))]
     assert values.tolist() == want
 
 
@@ -257,11 +256,9 @@ def _hermitian_and_form(draw):
 def test_intersection_on_hermitian_points_matches_full_plane(case):
     h, f = case
     want = np.nonzero(zero_mask(h) & zero_mask(f))[0].tolist()
-    rep = intersection(h, f, with_points=True)
+    rep = intersection(h, f)
     assert rep.count == len(want)
-    assert [P.key() for P in rep.points] == [
-        P.key() for P in (point_at_index(h.field, i) for i in want)
-    ]
+    assert rep.points.tolist() == want
     assert rep.degenerate == (f == h)
     assert rep.d == f.degree
 
@@ -312,9 +309,9 @@ def test_blocks_smaller_than_a_row_change_nothing(monkeypatch, q, model):
     monkeypatch.setattr(plane, "_CHUNK", 7)
     assert intersection_counts(h, monomials(3), cubics).tolist() == counts
     for f, (idx, values) in zip(forms, want):
-        rep = intersection(h, f, with_points=True)
+        rep = intersection(h, f)
         assert rep.count == len(idx)
-        assert [P.key() for P in rep.points] == [point_at_index(spec, int(i)).key() for i in idx]
+        assert rep.points.tolist() == idx.tolist()
         assert np.array_equal(evaluate_all(f), values)
         assert np.array_equal(zero_mask(f), values == 0)
     assert np.array_equal(vanishing_lines(spec, monomials(3), batch), lines)
@@ -344,8 +341,8 @@ def test_full_plane_refused_beyond_q64():
 def test_hermitian_is_nonsingular():
     for q in (2, 3, 4):
         h = hermitian_model(q, "H1")
-        for P in points_on(h):
-            assert not is_singular_point(h, P)
+        for xyz in coordinate_triples(h.field.order, points_on(h)):
+            assert not is_singular_point(h, xyz)
 
 
 def test_line_meets_hermitian_in_one_or_q_plus_one():
@@ -372,12 +369,12 @@ def test_intersection_with_points():
     h = hermitian_model(q, "H2")
     spec = h.field
     line = TernaryForm(spec, 1, {(1, 0, 0): 1})
-    rep = intersection(h, line, with_points=True)
+    rep = intersection(h, line)
     assert rep.count == q + 1
     assert len(rep.points) == rep.count
-    for P in rep.points:
-        assert evaluate(h, P).val == 0
-        assert evaluate(line, P).val == 0
+    for xyz in coordinate_triples(spec.order, rep.points):
+        assert evaluate(h, xyz) == 0
+        assert evaluate(line, xyz) == 0
 
 
 def test_partials_euler_identity():
