@@ -18,13 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .field import (
-    FieldElem,
-    ambient,
-    norm_to_subfield,
-    primitive_elements,
-    subfield_elements,
-)
+from .field import ambient, norm_to_subfield, primitive_elements, subfield_elements
 from .plane import TernaryForm, hermitian_model, intersection
 from .splitting import fiber_images
 from .unipoly import UniPoly
@@ -36,6 +30,9 @@ class ConstructionError(ValueError):
 
 @dataclass
 class ConstructionDescriptor:
+    """A built curve's family, degree and Hermitian model; `parameters`
+    maps each name to an element of F_{q^2} (an encoding) or a list of them."""
+
     family: str
     q: int
     d: int
@@ -43,12 +40,10 @@ class ConstructionDescriptor:
     model: str = "H1"
 
     def to_dict(self):
+        spec = ambient(self.q)
+
         def ser(v):
-            if isinstance(v, FieldElem):
-                return v.coeffs()
-            if isinstance(v, (list, tuple)):
-                return [ser(x) for x in v]
-            return v
+            return [ser(x) for x in v] if isinstance(v, list) else spec.to_coeffs(v)
 
         return {
             "family": self.family,
@@ -93,14 +88,8 @@ def secant_fan_curve(q: int, d: int):
         lines = lines * TernaryForm(spec, 1, {(0, 1, 0): 1, (0, 0, 1): spec.neg(b)})
     h1 = hermitian_model(q, "H1")
     zpad = TernaryForm(spec, d - q - 1, {(0, 0, d - q - 1): 1})
-    form = h1 * zpad - lines.scale(FieldElem(spec, alpha))
-    desc = ConstructionDescriptor(
-        "SecantFan",
-        q,
-        d,
-        {"alpha": FieldElem(spec, alpha), "b": [FieldElem(spec, b) for b in bs]},
-        "H1",
-    )
+    form = h1 * zpad - lines.scale(alpha)
+    desc = ConstructionDescriptor("SecantFan", q, d, {"alpha": alpha, "b": bs}, "H1")
     return desc, form
 
 
@@ -134,12 +123,12 @@ def secant_pencil_curve(q: int, roots) -> TernaryForm:
     are then secants of H1 through its point at infinity.
     """
     spec = ambient(q)
-    roots = [spec.elem(r) for r in roots]
-    if len(roots) != q + 1 or len({r.val for r in roots}) != q + 1:
+    roots = list(roots)
+    if len(roots) != q + 1 or len(set(roots)) != q + 1:
         raise ConstructionError(f"need q+1 distinct roots, got {len(roots)}")
     f = UniPoly.constant(spec, 1)
     for r in roots:
-        f = f * UniPoly(spec, [spec.neg(r.val), 1])
+        f = f * UniPoly(spec, [spec.neg(r), 1])
     # g = X^{q+1} - f has degree <= q
     g = UniPoly(spec, [0] * (q + 1) + [1]) - f
     assert g.degree <= q
@@ -152,7 +141,7 @@ def secant_pencil_curve(q: int, roots) -> TernaryForm:
     return TernaryForm(spec, q, terms)
 
 
-def canonical_degree_q_alpha(q: int) -> FieldElem:
+def canonical_degree_q_alpha(q: int) -> int:
     """First alpha outside F_q for which mu_{q-1}, alpha, alpha^2 are distinct."""
     spec = ambient(q)
     for v in range(spec.order):
@@ -161,23 +150,22 @@ def canonical_degree_q_alpha(q: int) -> FieldElem:
         v2 = spec.mul(v, v)
         if spec.pow(v2, q) == v2:
             continue  # alpha^2 would collide with a root of X^{q-1}-1
-        return FieldElem(spec, v)
+        return v
     raise ConstructionError(f"no valid alpha for q={q}")
 
 
-def degree_q_curve(q: int, alpha: FieldElem | None = None) -> TernaryForm:
+def degree_q_curve(q: int, alpha: int | None = None) -> TernaryForm:
     """The degree-q curve cut out by f(X) = (X^{q-1}-1)(X-alpha)(X-alpha^2)."""
     if q <= 2:
         raise ConstructionError("need q > 2")
     spec = ambient(q)
     if alpha is None:
         alpha = canonical_degree_q_alpha(q)
-    alpha = spec.elem(alpha)
-    if spec.pow(alpha.val, q) == alpha.val:
+    if spec.pow(alpha, q) == alpha:
         raise ConstructionError("alpha must lie outside F_q")
-    roots = [FieldElem(spec, v) for v in range(1, spec.order) if spec.pow(v, q - 1) == 1]
-    roots += [alpha, alpha * alpha]
-    if len({r.val for r in roots}) != q + 1:
+    # the roots of X^{q-1} - 1 are F_q^*
+    roots = subfield_elements(spec, q)[1:] + [alpha, spec.mul(alpha, alpha)]
+    if len(set(roots)) != q + 1:
         raise ConstructionError("repeated roots: alpha^2 lies on X^{q-1} = 1")
     return secant_pencil_curve(q, roots)
 
@@ -208,7 +196,7 @@ def even_half_curve(q: int):
         acc = acc + (L**k) * TernaryForm(spec, h - k, {(0, 0, h - k): 1})
         k *= 2
     form = acc - TernaryForm(spec, h, {(1, 0, h - 1): 1})
-    desc = ConstructionDescriptor("EvenHalf", q, h, {"alpha": FieldElem(spec, alpha)}, "H1")
+    desc = ConstructionDescriptor("EvenHalf", q, h, {"alpha": alpha}, "H1")
     return desc, form
 
 
@@ -228,76 +216,62 @@ def odd_half_params(q: int):
     if q % 2 == 0:
         raise ConstructionError("q must be odd")
     spec = ambient(q)
-    fq = [x for x in subfield_elements(spec, q) if x.val]
+    fq = subfield_elements(spec, q)[1:]
     for a in fq:
-        a2 = a * a
-        if not (a2 + 1):
+        a2 = spec.mul(a, a)
+        if not spec.add(a2, 1):
             continue
         for b in fq:
-            b2 = b * b
-            if not (b2 + 1) or not (a2 + b2):
+            b2 = spec.mul(b, b)
+            if not spec.add(b2, 1) or not spec.add(a2, b2):
                 continue
-            target = -(a2 + b2 + 1)
+            target = spec.neg(spec.add(spec.add(a2, b2), 1))
             for g in fq:
-                if g * g == target:
+                if spec.mul(g, g) == target:
                     return a, b, g
     return None
 
 
-def odd_half_curve(q: int, alpha: FieldElem, beta: FieldElem) -> TernaryForm:
+def odd_half_curve(q: int, alpha: int, beta: int) -> TernaryForm:
     if q % 2 == 0:
         raise ConstructionError("q must be odd")
-    spec = ambient(q)
     h = (q + 1) // 2
-    return TernaryForm(
-        spec, h, {(h, 0, 0): spec.elem(alpha).val, (0, h, 0): 1, (0, 0, h): spec.elem(beta).val}
-    )
+    return TernaryForm(ambient(q), h, {(h, 0, 0): alpha, (0, h, 0): 1, (0, 0, h): beta})
 
 
 # ---------------------------------------------------------------------------
 # monomial curves X Z^{d-1} = alpha Y^d, against H2
 # ---------------------------------------------------------------------------
 
-def monomial_curve(q: int, d: int, alpha: FieldElem) -> TernaryForm:
+def monomial_curve(q: int, d: int, alpha: int) -> TernaryForm:
     spec = ambient(q)
-    alpha = spec.elem(alpha)
-    if not alpha.val:
+    if not alpha:
         raise ConstructionError("alpha must be nonzero")
     if d < 1:
         raise ConstructionError("d must be >= 1")
-    return TernaryForm(spec, d, {(1, 0, d - 1): 1, (0, d, 0): spec.neg(alpha.val)})
+    return TernaryForm(spec, d, {(1, 0, d - 1): 1, (0, d, 0): spec.neg(alpha)})
 
 
-def monomial_fast_count(q: int, d: int, alpha: FieldElem) -> int:
+def monomial_fast_count(q: int, d: int, alpha: int) -> int:
     """(q+1) * #roots of A t^d + t + 1 in F_q, A = alpha^{q+1}.
 
     Equals the rational intersection count of the monomial curve with H2.
     The roots are the t in F_q^* whose fiber image is A.
     """
-    spec = ambient(q)
-    alpha = spec.elem(alpha)
-    if not alpha.val:
+    if not alpha:
         raise ConstructionError("alpha must be nonzero")
     if d < 2:
         raise ConstructionError("d must be >= 2")
-    A = norm_to_subfield(alpha)
-    return (q + 1) * int(np.count_nonzero(_subfield_fiber_images(q, d) == A.val))
-
-
-@lru_cache(maxsize=None)
-def _subfield_units(q: int) -> np.ndarray:
-    """The encodings of F_q^* inside F_{q^2}, ascending and read-only."""
-    spec = ambient(q)
-    x = np.arange(1, spec.order, dtype=np.int64)
-    t = x[spec.pow_v(x, q) == x]
-    t.flags.writeable = False
-    return t
+    A = norm_to_subfield(ambient(q), alpha)
+    return (q + 1) * int(np.count_nonzero(_subfield_fiber_images(q, d) == A))
 
 
 @lru_cache(maxsize=None)
 def _subfield_fiber_images(q: int, d: int) -> np.ndarray:
-    """`fiber_images` of F_q^* (`_subfield_units`) inside F_{q^2}, read-only."""
-    images = fiber_images(ambient(q), d, _subfield_units(q))
+    """`fiber_images` of F_q^* inside F_{q^2}, read-only."""
+    spec = ambient(q)
+    units = np.array(subfield_elements(spec, q)[1:], dtype=np.int64)
+    images = fiber_images(spec, d, units)
     images.flags.writeable = False
     return images
 
@@ -322,11 +296,11 @@ def sporadic_cubic(q: int) -> TernaryForm:
     return TernaryForm(ambient(q), 3, _CUBIC_TABLE[q])
 
 
-def _quartic_terms(q: int, w: FieldElem):
-    spec = w.spec
+def _quartic_terms(q: int, w: int):
+    spec = ambient(q)
 
     def wp(k):
-        return spec.pow(w.val, k)
+        return spec.pow(w, k)
 
     if q == 5:
         return {(3, 1, 0): 1, (0, 2, 2): 2, (0, 0, 4): 1}
@@ -395,8 +369,8 @@ _ALPHA_FAMILIES = ("degree-q", "monomial")
 def build(family: str, q: int, d: int | None = None, alpha=None):
     """Build (descriptor, form) for a named family with canonical parameters.
 
-    `alpha`, when a family takes one, may be a FieldElem, an encoding, or
-    any of the textual element formats ("w^3", "[1,2]", ...).  An alpha
+    `alpha`, when a family takes one, is anything `parse_element` reads:
+    an encoding, a coefficient list, or text ("w^3", "[1,2]", ...).  An alpha
     for a family that takes none, or a `d` other than the degree of the
     built curve, is a ConstructionError naming the family.
     """
@@ -413,9 +387,8 @@ def build(family: str, q: int, d: int | None = None, alpha=None):
 def _build(family: str, q: int, d: int | None, alpha):
     from .serialize import parse_element
 
-    spec = ambient(q)
     if alpha is not None:
-        alpha = parse_element(spec, alpha)
+        alpha = parse_element(ambient(q), alpha)
     if family == "secant-fan":
         if d is None:
             raise ConstructionError("secant-fan needs d")
@@ -424,7 +397,7 @@ def _build(family: str, q: int, d: int | None, alpha):
         form = full_point_curve(q)
         return ConstructionDescriptor("FullPoint", q, q * q - q + 1, {}, "H1"), form
     if family == "degree-q":
-        a = spec.elem(alpha) if alpha is not None else canonical_degree_q_alpha(q)
+        a = alpha if alpha is not None else canonical_degree_q_alpha(q)
         form = degree_q_curve(q, a)
         return ConstructionDescriptor("DegreeQ", q, q, {"alpha": a}, "H1"), form
     if family == "even-half":
@@ -444,9 +417,8 @@ def _build(family: str, q: int, d: int | None, alpha):
             raise ConstructionError("monomial needs d")
         if alpha is None:
             raise ConstructionError("monomial needs alpha")
-        a = spec.elem(alpha)
-        form = monomial_curve(q, d, a)
-        return ConstructionDescriptor("Monomial", q, d, {"alpha": a}, "H2"), form
+        form = monomial_curve(q, d, alpha)
+        return ConstructionDescriptor("Monomial", q, d, {"alpha": alpha}, "H2"), form
     if family == "sporadic-cubic":
         form = sporadic_cubic(q)
         return ConstructionDescriptor("SporadicCubic", q, 3, {}, "H2"), form

@@ -1,10 +1,15 @@
 """Deterministic construction of finite fields F_{p^m}.
 
 Elements are encoded as integers sum(c_i * p^i) where (c_0, ..., c_{m-1})
-are the coordinates in the power basis of the modulus root.  The modulus is
-the monic irreducible polynomial of degree m with the smallest encoding, and
-the generator is the smallest-encoded element of full multiplicative order,
-so two builds of the same field are identical.
+are the coordinates in the power basis of the modulus root.  The encoding
+is the only element type at every layer of the package: a FieldSpec's
+methods and the subfield functions below take and return encodings.
+`from_int` reads any integer (an encoding in [0, q), any other integer mod
+p, as the -1 coefficients of the Hermitian models need) and `from_coeffs` a
+coordinate vector.  The modulus is the monic irreducible polynomial of
+degree m with the smallest encoding, and the generator is the
+smallest-encoded element of full multiplicative order, so two builds of the
+same field are identical.
 
 Multiplication runs through log/antilog tables built from the generator g.
 The tables come from F_p-linear algebra on digit vectors: multiplication by
@@ -99,13 +104,6 @@ def _mod_p(a, p):
     t *= p
     a -= t
     return a
-
-
-def _encode(coeffs, p):
-    n = 0
-    for c in reversed(coeffs):
-        n = n * p + c
-    return n
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +281,6 @@ class FieldSpec:
             return 0
         return int(self._exp[(int(self._log[a]) * e) % (self.order - 1)])
 
-    def frob(self, a):
-        """a^p."""
-        return self.pow(a, self.p)
-
     def element_order(self, a):
         if a == 0:
             raise FieldError("zero has no multiplicative order")
@@ -349,33 +343,21 @@ class FieldSpec:
 
     # -- element construction -------------------------------------------------
 
-    def elem(self, x) -> "FieldElem":
-        if isinstance(x, FieldElem):
-            if x.spec is not self:
-                raise FieldError("element from a different field")
-            return x
-        if isinstance(x, (list, tuple)):
-            if len(x) > self.m:
-                raise FieldError("too many coordinates")
-            coeffs = [c % self.p for c in x] + [0] * (self.m - len(x))
-            return FieldElem(self, _encode(coeffs, self.p))
-        if isinstance(x, (int, np.integer)):
-            return FieldElem(self, self.from_int(x))
-        raise FieldError(f"cannot build a field element from {x!r}")
-
     def from_int(self, x) -> int:
         """An integer's encoding: itself in [0, q), else x mod p (the prime subfield)."""
+        if not isinstance(x, (int, np.integer)):
+            raise FieldError(f"cannot build a field element from {x!r}")
         x = int(x)
         return x if 0 <= x < self.order else x % self.p
 
-    def zero(self):
-        return FieldElem(self, 0)
-
-    def one(self):
-        return FieldElem(self, 1)
-
-    def gen(self):
-        return FieldElem(self, self.generator)
+    def from_coeffs(self, coeffs) -> int:
+        """The encoding of the coordinates [c0, c1, ...], each in [0, p), zero-padded to m."""
+        if len(coeffs) > self.m:
+            raise FieldError("too many coordinates")
+        n = 0
+        for c in reversed(coeffs):
+            n = n * self.p + int(c)
+        return n
 
     def to_coeffs(self, a):
         return _decode(a, self.p, self.m)
@@ -446,104 +428,8 @@ def _ambient(q: int) -> FieldSpec:
 
 
 # ---------------------------------------------------------------------------
-# elements
+# subfield structure: norm, trace, the subfield itself
 # ---------------------------------------------------------------------------
-
-class FieldElem:
-    """An element of a FieldSpec, stored as its integer encoding."""
-
-    __slots__ = ("spec", "val")
-
-    def __init__(self, spec: FieldSpec, val: int):
-        self.spec = spec
-        self.val = val
-
-    def _coerce(self, other):
-        if isinstance(other, FieldElem):
-            if other.spec is not self.spec:
-                raise FieldError("mixed-field operands")
-            return other.val
-        if isinstance(other, (int, np.integer)):
-            return self.spec.from_int(other)
-        return NotImplemented
-
-    def __add__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.spec, self.spec.add(self.val, v))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.spec, self.spec.sub(self.val, v))
-
-    def __rsub__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.spec, self.spec.sub(v, self.val))
-
-    def __mul__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.spec, self.spec.mul(self.val, v))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.spec, self.spec.mul(self.val, self.spec.inv(v)))
-
-    def __rtruediv__(self, other):
-        v = self._coerce(other)
-        if v is NotImplemented:
-            return NotImplemented
-        return FieldElem(self.spec, self.spec.mul(v, self.spec.inv(self.val)))
-
-    def __neg__(self):
-        return FieldElem(self.spec, self.spec.neg(self.val))
-
-    def __pow__(self, e):
-        return FieldElem(self.spec, self.spec.pow(self.val, e))
-
-    def inv(self):
-        return FieldElem(self.spec, self.spec.inv(self.val))
-
-    def __eq__(self, other):
-        if isinstance(other, FieldElem):
-            return self.spec is other.spec and self.val == other.val
-        if isinstance(other, (int, np.integer)):
-            return self.val == self.spec.from_int(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((id(self.spec), self.val))
-
-    def __bool__(self):
-        return self.val != 0
-
-    def coeffs(self):
-        return self.spec.to_coeffs(self.val)
-
-    def __repr__(self):
-        return f"F{self.spec.order}{self.coeffs()}"
-
-
-# ---------------------------------------------------------------------------
-# subfield structure: Frobenius, norm, trace
-# ---------------------------------------------------------------------------
-
-def frobenius(x: FieldElem) -> FieldElem:
-    """x^p."""
-    return FieldElem(x.spec, x.spec.frob(x.val))
-
 
 def _subfield_order(spec: FieldSpec) -> int:
     if spec.m % 2 != 0:
@@ -551,44 +437,40 @@ def _subfield_order(spec: FieldSpec) -> int:
     return spec.p ** (spec.m // 2)
 
 
-def norm_to_subfield(x: FieldElem) -> FieldElem:
+def norm_to_subfield(spec: FieldSpec, x: int) -> int:
     """Norm F_{q^2} -> F_q, x |-> x^{q+1}."""
-    q = _subfield_order(x.spec)
-    return x ** (q + 1)
+    return spec.pow(x, _subfield_order(spec) + 1)
 
 
-def trace_to_subfield(x: FieldElem) -> FieldElem:
+def trace_to_subfield(spec: FieldSpec, x: int) -> int:
     """Trace F_{q^2} -> F_q, x |-> x^q + x."""
-    q = _subfield_order(x.spec)
-    return x ** q + x
+    return spec.add(spec.pow(x, _subfield_order(spec)), x)
 
 
-def norm_preimages(s: FieldElem) -> list[FieldElem]:
+def norm_preimages(spec: FieldSpec, s: int) -> list[int]:
     """The q+1 elements y of F_{q^2} with y^{q+1} = s, for nonzero s in F_q."""
-    spec = s.spec
     q = _subfield_order(spec)
-    if s.val == 0:
+    if s == 0:
         raise FieldError("norm preimages of zero are not defined")
-    if spec.pow(s.val, q) != s.val:
+    if spec.pow(s, q) != s:
         raise FieldError("element is not in the index-2 subfield")
-    out = [v for v in range(1, spec.order) if spec.pow(v, q + 1) == s.val]
+    out = [v for v in range(1, spec.order) if spec.pow(v, q + 1) == s]
     assert len(out) == q + 1
-    return [FieldElem(spec, v) for v in out]
+    return out
 
 
-def subfield_elements(spec: FieldSpec, q: int) -> list[FieldElem]:
-    """The q elements fixed by x -> x^q, in encoding order."""
+def subfield_elements(spec: FieldSpec, q: int) -> list[int]:
+    """The q elements fixed by x -> x^q, in encoding order (0 first)."""
     p, e = prime_power(q)
     if p != spec.p or spec.m % e != 0:
         raise FieldError(f"F_{q} is not a subfield of F_{spec.order}")
-    out = [v for v in range(spec.order) if spec.pow(v, q) == v]
+    x = np.arange(spec.order, dtype=np.int64)
+    out = x[spec.pow_v(x, q) == x].tolist()
     assert len(out) == q
-    return [FieldElem(spec, v) for v in out]
+    return out
 
 
 def primitive_elements(spec: FieldSpec):
     """All generators of the multiplicative group, in encoding order."""
     n = spec.order - 1
-    for v in range(1, spec.order):
-        if spec.element_order(v) == n:
-            yield FieldElem(spec, v)
+    return (v for v in range(1, spec.order) if spec.element_order(v) == n)

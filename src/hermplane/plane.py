@@ -116,7 +116,7 @@ class TernaryForm:
         for (i, j, k), c in terms.items():
             if i < 0 or j < 0 or k < 0 or i + j + k != degree:
                 raise ValueError(f"exponents {(i, j, k)} do not sum to degree {degree}")
-            v = field_spec.from_int(c) if isinstance(c, (int, np.integer)) else field_spec.elem(c).val
+            v = field_spec.from_int(c)
             if v:
                 clean[(i, j, k)] = v
         self.field = field_spec
@@ -128,7 +128,7 @@ class TernaryForm:
 
     def scale(self, c) -> "TernaryForm":
         K = self.field
-        cv = K.elem(c).val
+        cv = K.from_int(c)
         return TernaryForm(K, self.degree, {m: K.mul(cv, v) for m, v in self.terms.items()})
 
     def canonical(self) -> "TernaryForm":

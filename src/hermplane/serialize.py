@@ -1,11 +1,14 @@
 """Text and JSON encodings for field elements and plane curves.
 
-Field elements print as coefficient vectors "[c0,c1,...]" against the
-canonical modulus, and "0" is the zero element; they are read from that
-form, from generator powers "w^k" and from integer encodings.  Points,
-held as enumeration indices everywhere else, print as "[x:y:z]" scaled so
-that the first nonzero coordinate is 1.  Curves serialize to JSON with
-their field, degree, model tag and sparse term list.
+Field elements are integer encodings here as everywhere in the package.
+They print as coefficient vectors "[c0,c1,...]" against the canonical
+modulus, and "0" is the zero element; they are read from that form, from
+generator powers "w^k" and from integer encodings.  Points, held as
+enumeration indices everywhere else, print as "[x:y:z]" scaled so that
+the first nonzero coordinate is 1.  Curves serialize to JSON with their
+field, degree, model tag and sparse term list; a curve file that is not
+exactly that (a non-integer exponent or degree, a boolean coefficient,
+the zero form) is a ValueError.
 """
 
 from __future__ import annotations
@@ -14,14 +17,14 @@ import json
 
 import numpy as np
 
-from .field import FieldElem, FieldSpec, make_field
+from .field import FieldSpec, make_field
 from .plane import TernaryForm, point_coords
 
 
-def format_element(x: FieldElem) -> str:
-    if x.val == 0:
+def format_element(spec: FieldSpec, x: int) -> str:
+    if x == 0:
         return "0"
-    return "[" + ",".join(str(c) for c in x.coeffs()) + "]"
+    return "[" + ",".join(str(c) for c in spec.to_coeffs(x)) + "]"
 
 
 def format_points(spec: FieldSpec, idx) -> list[str]:
@@ -30,27 +33,30 @@ def format_points(spec: FieldSpec, idx) -> list[str]:
     X, Y, Z = point_coords(spec.order, idx)
     inv = spec.pow_v(np.where(X != 0, X, np.where(Y != 0, Y, Z)), -1)
     coords = zip(*(spec.mul_v(v, inv).tolist() for v in (X, Y, Z)))
-    return ["[" + ":".join(format_element(FieldElem(spec, v)) for v in xyz) + "]" for xyz in coords]
+    return ["[" + ":".join(format_element(spec, v) for v in xyz) + "]" for xyz in coords]
 
 
-def parse_element(spec: FieldSpec, text) -> FieldElem:
-    """Accepts "[c0,c1,...]", "w^k", "w", a plain integer encoding, or a
-    list of coefficients.
+def _is_int(x) -> bool:
+    """An integer that is not a bool: JSON true is not the element 1."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def parse_element(spec: FieldSpec, text) -> int:
+    """The encoding of "[c0,c1,...]", "w^k", "w", a plain integer encoding,
+    or a list of coefficients.
 
     Integer encodings must lie in [0, order) and coefficients in [0, p);
     anything else is a ValueError rather than a silent reduction.
     """
-    if isinstance(text, FieldElem):
-        return spec.elem(text)
     if isinstance(text, str):
         raw = text.strip()
         if raw == "w":
-            return spec.gen()
+            return spec.generator
         if raw.startswith("[") and not raw.endswith("]"):
             raise ValueError(f"unbalanced coefficient vector {raw!r}")
         try:
             if raw.startswith("w^"):
-                return FieldElem(spec, spec.pow(spec.gen().val, int(raw[2:])))
+                return spec.pow(spec.generator, int(raw[2:]))
             if raw.startswith("["):
                 text = [int(c) for c in raw[1:-1].split(",") if c.strip() != ""]
             else:
@@ -62,15 +68,20 @@ def parse_element(spec: FieldSpec, text) -> FieldElem:
             ) from None
     if isinstance(text, (list, tuple)):
         for c in text:
+            if not _is_int(c):
+                raise ValueError(f"coefficient {c!r} is not an integer")
             if not 0 <= c < spec.p:
                 raise ValueError(
                     f"coefficient {c} is outside [0, {spec.p}) for F_{spec.order}"
                 )
-    elif isinstance(text, int) and not 0 <= text < spec.order:
+        return spec.from_coeffs(text)
+    if not _is_int(text):
+        raise ValueError(f"cannot build a field element from {text!r}")
+    if not 0 <= text < spec.order:
         raise ValueError(
             f"element encoding {text} is outside [0, {spec.order}) for F_{spec.order}"
         )
-    return spec.elem(text)
+    return int(text)
 
 
 def curve_to_dict(form: TernaryForm, model: str | None = None) -> dict:
@@ -80,7 +91,7 @@ def curve_to_dict(form: TernaryForm, model: str | None = None) -> dict:
         "m": spec.m,
         "degree": form.degree,
         "terms": [
-            {"i": i, "j": j, "k": k, "coeff": format_element(FieldElem(spec, c))}
+            {"i": i, "j": j, "k": k, "coeff": format_element(spec, c)}
             for (i, j, k), c in sorted(form.terms.items())
         ],
     }
@@ -90,26 +101,32 @@ def curve_to_dict(form: TernaryForm, model: str | None = None) -> dict:
 
 
 def _require(obj, keys, what):
-    """The values of `keys` in the JSON object `obj`, or a ValueError."""
+    """The values of `keys` in the JSON object `obj`, or a ValueError;
+    every key but the last must hold an integer."""
     if not isinstance(obj, dict):
         raise ValueError(f"{what} is not a JSON object")
     for key in keys:
         if key not in obj:
             raise ValueError(f"{what} has no {key!r} key")
+    for key in keys[:-1]:
+        if type(obj[key]) is not int:
+            raise ValueError(f"{what} {key!r} = {obj[key]!r} is not an integer")
     return [obj[key] for key in keys]
 
 
 def curve_from_dict(data: dict) -> TernaryForm:
     p, m, degree, raw_terms = _require(data, ("p", "m", "degree", "terms"), "curve")
-    for key, v in (("p", p), ("m", m)):
-        if type(v) is not int:
-            raise ValueError(f"curve {key!r} = {v!r} is not an integer")
+    if not isinstance(raw_terms, list):
+        raise ValueError(f"curve 'terms' = {raw_terms!r} is not a list")
     spec = make_field(p, m)
     terms = {}
     for t in raw_terms:
         i, j, k, coeff = _require(t, ("i", "j", "k", "coeff"), "curve term")
-        terms[(i, j, k)] = parse_element(spec, coeff).val
-    return TernaryForm(spec, degree, terms)
+        terms[(i, j, k)] = parse_element(spec, coeff)
+    form = TernaryForm(spec, degree, terms)
+    if form.is_zero():
+        raise ValueError("curve is the zero form, which vanishes at every point")
+    return form
 
 
 def save_curve(path, form: TernaryForm, model: str | None = None):

@@ -33,7 +33,7 @@ from math import factorial, gcd, isqrt
 
 import numpy as np
 
-from .field import MAX_ORDER, FieldElem, FieldSpec, ambient, field_of_order, prime_power
+from .field import MAX_ORDER, FieldSpec, ambient, field_of_order, prime_power, subfield_elements
 
 # the most residues the prime pass lays end to end in one int64 array;
 # a prime above it is swept alone, so no array outgrows the O(p) tables
@@ -226,7 +226,7 @@ def _exact_log(n: int, p: int):
 # the rho-parametrization of the roots of A t^d + t + 1
 # ---------------------------------------------------------------------------
 
-def rho_parametrization(q: int, d: int, rho):
+def rho_parametrization(q: int, d: int, rho: int):
     """(A, T1, T2) in F_{q^2} from the root ratio rho = T2/T1.
 
     T1 = -(rho^d - 1)/(rho^d - rho), T2 = rho T1, A = -(T1+1)/T1^d, and
@@ -234,38 +234,35 @@ def rho_parametrization(q: int, d: int, rho):
     (rho^d = rho, rho^{d-1} = 1, or rho^d = 1, which would force T1 = 0).
     """
     spec = ambient(q)
-    r = spec.elem(rho).val
-    rd = spec.pow(r, d)
-    den = spec.sub(rd, r)
-    if den == 0 or rd == 1 or spec.pow(r, d - 1) == 1:
+    rd = spec.pow(rho, d)
+    den = spec.sub(rd, rho)
+    if den == 0 or rd == 1 or spec.pow(rho, d - 1) == 1:
         return None
     t1 = spec.neg(spec.mul(spec.sub(rd, 1), spec.inv(den)))
-    t2 = spec.mul(r, t1)
+    t2 = spec.mul(rho, t1)
     a = spec.neg(spec.mul(spec.add(t1, 1), spec.inv(spec.pow(t1, d))))
     for t in (t1, t2):
         lhs = spec.add(spec.add(spec.mul(a, spec.pow(t, d)), t), 1)
         assert lhs == 0, "parametrization identity failed"
-    return FieldElem(spec, a), FieldElem(spec, t1), FieldElem(spec, t2)
+    return a, t1, t2
 
 
-def pe_transform_roots(q: int, d: int, rho):
-    """For d = p^e, the full root set {T1 + a/B : a in F_{p^e}} of
+def pe_transform_roots(q: int, d: int, rho: int):
+    """For d = p^e, (B, the full root set {T1 + a/B : a in F_{p^e}}) of
     A t^d + t + 1, via B = -(rho^d - rho)/(rho - 1)^{d+1} with
     A = -B^{d-1}.  Returns None on degenerate rho."""
     spec = ambient(q)
     parts = rho_parametrization(q, d, rho)
     if parts is None:
         return None
-    a_elem, t1, _ = parts
-    r = spec.elem(rho).val
-    num = spec.sub(spec.pow(r, d), r)
-    den = spec.pow(spec.sub(r, 1), d + 1)
+    a, t1, _ = parts
+    num = spec.sub(spec.pow(rho, d), rho)
+    den = spec.pow(spec.sub(rho, 1), d + 1)
     b = spec.neg(spec.mul(num, spec.inv(den)))
-    assert spec.neg(spec.pow(b, d - 1)) == a_elem.val
+    assert spec.neg(spec.pow(b, d - 1)) == a
     binv = spec.inv(b)
-    sub = [x for x in range(spec.order) if spec.pow(x, d) == x]  # F_{p^e}
-    roots = sorted(spec.add(t1.val, spec.mul(s, binv)) for s in sub)
-    return FieldElem(spec, b), [FieldElem(spec, v) for v in roots]
+    roots = sorted(spec.add(t1, spec.mul(s, binv)) for s in subfield_elements(spec, d))
+    return b, roots
 
 
 # ---------------------------------------------------------------------------

@@ -16,14 +16,14 @@ lines from it.
 
 from __future__ import annotations
 
-from .field import FieldElem, FieldError, FieldSpec, subfield_elements
+from .field import FieldError, FieldSpec, subfield_elements
 
 
 class UniPoly:
     __slots__ = ("spec", "coeffs")
 
     def __init__(self, spec: FieldSpec, coeffs):
-        vals = [spec.elem(c).val if isinstance(c, FieldElem) else spec.from_int(c) for c in coeffs]
+        vals = [spec.from_int(c) for c in coeffs]
         while vals and vals[-1] == 0:
             vals.pop()
         self.spec = spec
@@ -126,19 +126,18 @@ class UniPoly:
         K = self.spec
         return UniPoly(K, [K.mul(k % K.p, c) for k, c in enumerate(self.coeffs) if k])
 
-    def evaluate(self, x) -> FieldElem:
+    def evaluate(self, x: int) -> int:
         K = self.spec
-        xv = K.elem(x).val
         acc = 0
         for c in reversed(self.coeffs):
-            acc = K.add(K.mul(acc, xv), c)
-        return FieldElem(K, acc)
+            acc = K.add(K.mul(acc, x), c)
+        return acc
 
     # -- convenience constructors --------------------------------------------
 
     @staticmethod
     def constant(spec: FieldSpec, c) -> "UniPoly":
-        return UniPoly(spec, [spec.elem(c).val])
+        return UniPoly(spec, [c])
 
 
 def gcd(f: UniPoly, g: UniPoly) -> UniPoly:
@@ -183,13 +182,9 @@ def factor_degrees(f: UniPoly) -> list[int]:
     return out
 
 
-def roots_in_field(f: UniPoly, q: int) -> list[FieldElem]:
+def roots_in_field(f: UniPoly, q: int) -> list[int]:
     """All distinct roots of f in F_q, by evaluation scan, encoding order."""
     if f.is_zero():
         raise ValueError("zero polynomial")
-    out = []
-    for x in subfield_elements(f.spec, q):
-        if not f.evaluate(x):
-            out.append(x)
-    return out
+    return [x for x in subfield_elements(f.spec, q) if not f.evaluate(x)]
 

@@ -8,7 +8,6 @@ import pytest
 
 from hermplane import cli
 from hermplane.cli import main
-from hermplane.field import FieldElem
 from hermplane.plane import hermitian_model, zero_mask
 from hermplane.serialize import format_element, load_curve
 
@@ -58,7 +57,7 @@ def _printed_points(forms):
         if any(_value(f, xyz) for f in forms):
             continue
         inv = spec.inv(next(v for v in xyz if v))
-        coords = (format_element(FieldElem(spec, spec.mul(inv, v))) for v in xyz)
+        coords = (format_element(spec, spec.mul(inv, v)) for v in xyz)
         out.append("[" + ":".join(coords) + "]")
     return out
 
@@ -213,6 +212,63 @@ def test_construct_round_trips_through_intersect(capsys, tmp_path):
     assert json.loads(out)["count"] == 12
 
 
+# what `construct --format json` prints besides the terms: each parameter
+# is an element of F_{q^2} printed as its coefficient vector
+_CONSTRUCTED = [
+    (["secant-fan", "--q", "3", "--d", "5"],
+     {"family": "SecantFan", "q": 3, "d": 5, "model": "H1",
+      "parameters": {"alpha": [1, 0], "b": [[1, 0], [2, 0], [1, 1], [2, 1], [1, 2]]}}),
+    (["full-point", "--q", "2"],
+     {"family": "FullPoint", "q": 2, "d": 3, "model": "H1", "parameters": {}}),
+    (["degree-q", "--q", "5"],
+     {"family": "DegreeQ", "q": 5, "d": 5, "model": "H1", "parameters": {"alpha": [1, 1]}}),
+    (["even-half", "--q", "8"],
+     {"family": "EvenHalf", "q": 8, "d": 4, "model": "H1",
+      "parameters": {"alpha": [0, 1, 0, 0, 0, 1]}}),
+    (["odd-half", "--q", "7"],
+     {"family": "OddHalf", "q": 7, "d": 4, "model": "H2",
+      "parameters": {"alpha": [1, 0], "beta": [1, 0], "gamma": [2, 0]}}),
+    (["monomial", "--q", "5", "--d", "3", "--alpha", "w"],
+     {"family": "Monomial", "q": 5, "d": 3, "model": "H2", "parameters": {"alpha": [1, 1]}}),
+    (["sporadic-cubic", "--q", "4"],
+     {"family": "SporadicCubic", "q": 4, "d": 3, "model": "H2", "parameters": {}}),
+    (["sporadic-quartic", "--q", "9"],
+     {"family": "SporadicQuartic", "q": 9, "d": 4, "model": "H2",
+      "parameters": {"omega": [0, 1, 0, 0]}}),
+    (["degree-q", "--q", "5", "--alpha", "w^5"],
+     {"family": "DegreeQ", "q": 5, "d": 5, "model": "H1", "parameters": {"alpha": [1, 4]}}),
+    (["monomial", "--q", "7", "--d", "4", "--alpha", "w^7"],
+     {"family": "Monomial", "q": 7, "d": 4, "model": "H2", "parameters": {"alpha": [2, 6]}}),
+]
+
+
+@pytest.mark.parametrize(
+    "args, expected", _CONSTRUCTED, ids=["-".join(a).replace("--", "") for a, _ in _CONSTRUCTED]
+)
+def test_construct_prints_its_parameters(capsys, args, expected):
+    code, out, err = run(capsys, "construct", "--family", *args, "--format", "json")
+    assert code == 0 and err == ""
+    rec = json.loads(out)
+    assert rec.pop("terms")
+    assert rec == expected
+
+
+@pytest.mark.parametrize("q, d, k", [(3, 2, 1), (4, 3, 7), (5, 3, 7), (7, 4, 7), (8, 3, 5)])
+def test_benchmark_monomial_oracle_matches_verify(capsys, q, d, k):
+    # the expected count of a monomial benchmark op, computed through the
+    # imports the benchmark's workloads use, equals what verify prints
+    from hermplane.constructions import ambient, monomial_fast_count
+    from hermplane.serialize import parse_element
+
+    n = monomial_fast_count(q, d, parse_element(ambient(q), f"w^{k}"))
+    code, out, _ = run(
+        capsys, "verify", "--family", "monomial", "--q", str(q), "--d", str(d),
+        "--alpha", f"w^{k}", "--format", "json",
+    )
+    assert json.loads(out)["count"] == n
+    assert code == (0 if n == d * (q + 1) else 1)
+
+
 def test_intersect_wrong_field_is_usage_error(capsys, tmp_path):
     path = str(tmp_path / "curve.json")
     run(capsys, "construct", "--family", "degree-q", "--q", "3", "--output", path)
@@ -292,6 +348,20 @@ def test_intersect_rejects_out_of_range_coefficient(capsys, tmp_path):
         ({"p": 3, "m": 2, "degree": 1, "terms": [7]}, "not a JSON object"),
         ({"p": 9.0, "m": 1, "degree": 1, "terms": []}, "9.0 is not an integer"),
         ({"p": 4, "m": 2, "degree": 1, "terms": []}, "characteristic 4 is not prime"),
+        ({"p": 3, "m": 2, "degree": 1, "terms": [{"i": "1", "j": 0, "k": 0, "coeff": 1}]},
+         "'i' = '1' is not an integer"),
+        ({"p": 3, "m": 2, "degree": 1, "terms": None}, "'terms' = None is not a list"),
+        ({"p": 3, "m": 2, "degree": 1.0, "terms": [{"i": 1, "j": 0, "k": 0, "coeff": 1}]},
+         "'degree' = 1.0 is not an integer"),
+        ({"p": 3, "m": 2, "degree": 1, "terms": [{"i": 1, "j": 0, "k": 0, "coeff": True}]},
+         "cannot build a field element from True"),
+        ({"p": 3, "m": 2, "degree": 1, "terms": [{"i": 1, "j": 0, "k": 0, "coeff": [True]}]},
+         "coefficient True is not an integer"),
+        ({"p": 3, "m": 2, "degree": 1, "terms": [{"i": 1, "j": 0, "k": 0, "coeff": 3.0}]},
+         "cannot build a field element from 3.0"),
+        ({"p": 3, "m": 2, "degree": 1, "terms": []}, "zero form"),
+        ({"p": 3, "m": 2, "degree": 1, "terms": [{"i": 1, "j": 0, "k": 0, "coeff": "0"}]},
+         "zero form"),
     ],
 )
 def test_intersect_rejects_malformed_curve_file(capsys, tmp_path, data, key):

@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from hermplane.constructions import build, degree_q_curve, secant_fan_curve, sporadic_cubic
-from hermplane.field import FieldElem, field_of_order
+from hermplane.field import field_of_order
 from hermplane import plane
 from hermplane.plane import (
     TernaryForm,
@@ -285,8 +285,7 @@ def test_double_root_at_base_point_is_not_used():
     # linear factor at B would read degrees [1, 3] and exclude 2
     spec = field_of_order(16)
     x, y, z = _xyz(spec)
-    w = FieldElem(spec, spec.generator)
-    cubic = z * z * z - (x * x * x).scale(w) + x * y * z
+    cubic = z * z * z - (x * x * x).scale(spec.generator) + x * y * z
     f = (x * x + y * z) * cubic
     res = reducibility_search(f)
     assert res.status == "open"

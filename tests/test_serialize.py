@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from hermplane.field import FieldElem, FieldError, field_of_order
+import numpy as np
+
+from hermplane.field import FieldError, field_of_order
 from hermplane.plane import TernaryForm, hermitian_model
 from hermplane.serialize import (
     curve_from_dict,
@@ -17,43 +19,48 @@ from hermplane.serialize import (
 def test_format_element_styles():
     # zero prints as "0", everything else as its coefficient vector
     spec = field_of_order(9)
-    assert format_element(spec.elem(0)) == "0"
-    assert format_element(spec.elem(5)) == "[2,1]"
-    assert format_element(spec.elem(3)) == "[0,1]"
+    assert format_element(spec, 0) == "0"
+    assert format_element(spec, 5) == "[2,1]"
+    assert format_element(spec, 3) == "[0,1]"
 
 
 def test_parse_element_accepts_many_shapes():
     spec = field_of_order(9)
-    g = spec.gen()
+    g = spec.generator
     assert parse_element(spec, "w") == g
-    assert parse_element(spec, "w^3") == g**3
-    assert parse_element(spec, "[2,1]").val == 5
-    assert parse_element(spec, "0").val == 0
-    assert parse_element(spec, 7).val == 7
-    assert parse_element(spec, g) == g
-    assert parse_element(spec, [1, 2]).val == 7
-    assert parse_element(spec, "8").val == 8
-    assert parse_element(spec, "[2,2]").val == 8
+    assert parse_element(spec, "w^3") == spec.pow(g, 3)
+    assert parse_element(spec, "[2,1]") == 5
+    assert parse_element(spec, "0") == 0
+    assert parse_element(spec, 7) == 7
+    assert parse_element(spec, np.int64(7)) == 7
+    assert parse_element(spec, [1, 2]) == 7
+    assert parse_element(spec, "8") == 8
+    assert parse_element(spec, "[2,2]") == 8
 
 
 def test_parse_format_round_trip():
     spec = field_of_order(25)
     for v in range(spec.order):
-        x = FieldElem(spec, v)
-        assert parse_element(spec, format_element(x)) == x
+        assert parse_element(spec, format_element(spec, v)) == v
     # "w^k" for k < 24 names each nonzero element once, w^(k+1) = w^k * w
     powers = [parse_element(spec, f"w^{k}") for k in range(spec.order - 1)]
-    assert sorted(x.val for x in powers) == list(range(1, spec.order))
+    assert sorted(powers) == list(range(1, spec.order))
     for a, b in zip(powers, powers[1:]):
-        assert b == a * spec.gen()
+        assert b == spec.mul(a, spec.generator)
 
 
 def test_parse_element_rejects_garbage():
     # out-of-range input is refused, not reduced: "301" does not mean 1
     spec = field_of_order(9)
-    for text in ("xyz", "9", "301", "-1", "[4,0]", "[1,-1]", 9, [3]):
+    for text in ("xyz", "9", "301", "-1", "[4,0]", "[1,-1]", 9, [3], [1, 0, 0]):
         with pytest.raises((FieldError, ValueError)):
             parse_element(spec, text)
+    # JSON reads true as a bool and 3.0 as a float: neither is an element
+    for text in (True, 3.0, None, [True], [1.0]):
+        with pytest.raises(ValueError, match="cannot build a field element|not an integer"):
+            parse_element(spec, text)
+    with pytest.raises(ValueError, match="^cannot build a field element from 3.0$"):
+        parse_element(spec, 3.0)
 
 
 def test_curve_dict_round_trip():

@@ -126,8 +126,8 @@ def test_rho_parametrization_produces_roots():
                 if parts is None:
                     continue
                 a, t1, t2 = parts
-                assert t1.val != t2.val
-                f = UniPoly(spec, [1, 1] + [0] * (d - 2) + [a.val])
+                assert t1 != t2
+                f = UniPoly(spec, [1, 1] + [0] * (d - 2) + [a])
                 assert f.evaluate(t1) == 0
                 assert f.evaluate(t2) == 0
 
@@ -149,7 +149,7 @@ def test_pe_transform_full_root_set():
         b, roots = parts
         a, t1, _ = rho_parametrization(q, d, r)
         assert len(roots) == d
-        f = UniPoly(spec, [1, 1] + [0] * (d - 2) + [a.val])
+        f = UniPoly(spec, [1, 1] + [0] * (d - 2) + [a])
         for x in roots:
             assert f.evaluate(x) == 0
 
