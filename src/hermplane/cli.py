@@ -88,8 +88,10 @@ def cmd_hermitian_points(args):
 
 
 def cmd_intersect(args):
-    f = load_curve(args.curve)
-    h = hermitian_model(args.q, args.model)
+    f, recorded = load_curve(args.curve)
+    # an explicit --model wins over the file's, and H1 is the default
+    model = args.model or recorded or "H1"
+    h = hermitian_model(args.q, model)
     if f.field is not h.field:
         raise ConstructionError(
             f"curve lives over order {f.field.order}, expected {h.field.order}"
@@ -97,7 +99,7 @@ def cmd_intersect(args):
     rep = intersection(h, f)
     rec = {
         "q": args.q,
-        "model": args.model,
+        "model": model,
         "degree": f.degree,
         "count": rep.count,
         "degenerate": rep.degenerate,
@@ -238,7 +240,9 @@ def _build_parser():
     p = sub.add_parser("intersect", help="intersect a curve file with a Hermitian model")
     p.add_argument("--curve", required=True)
     p.add_argument("--q", type=int, required=True)
-    p.add_argument("--model", choices=("H1", "H2"), default="H1")
+    p.add_argument(
+        "--model", choices=("H1", "H2"), help="default: the curve file's model, else H1"
+    )
     p.add_argument("--emit-points", action="store_true")
     common(p)
 

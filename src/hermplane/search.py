@@ -11,8 +11,9 @@ Hermitian points only; that count is the intersection number.
 The counts come from the span scan `_zero_hits`.  Values are linear in
 the coefficients, so each canonical form's values at the points are a
 sum H[high digits] + L[low digits] of two rows precomputed with
-`plane.form_values`, and the scan counts zeros by comparing L with -H:
-one comparison per form and point, with no field arithmetic per form.
+`plane.form_values`, and the scan counts zeros point by point: at each
+point it compares every L value with every -H value and adds the result
+to one counter per form, with no field arithmetic per form.
 Form indices are int64; a space past int64 is refused before the scan,
 so every place value Q^k the scan decodes fits.
 
@@ -51,7 +52,7 @@ SCAN_BUDGET = 10**7
 # form indices are int64 (`_coeff_rows`), so no scan goes past this one
 _MAX_FORM_INDEX = np.iinfo(np.int64).max
 
-# the most forms one comparison of the span scan (`_zero_hits`) covers
+# the most forms one counter of the span scan (`_zero_hits`) covers
 _SCAN_CHUNK = 1 << 15
 
 
@@ -72,8 +73,11 @@ class SearchReport:
     reducible_achievers: list = dc_field(default_factory=list)
 
     def to_dict(self):
+        # the class lists hold achievers again: serialize each form once
+        done = {id(f): sorted(f.terms.items()) for f in self.achievers}
+
         def ser(forms):
-            return [sorted(f.terms.items()) for f in forms]
+            return [done.get(id(f)) or sorted(f.terms.items()) for f in forms]
 
         return {
             "q": self.q,
@@ -119,15 +123,17 @@ def _zero_hits(spec: FieldSpec, monos, X, Y, Z):
     the coefficients, so with the free digits of s split into high and
     low ones, values(s) = H[high] + L[low]: H sums the rows c * X^i Y^j Z^k
     of the leading 1 and the high digits, L those of the low digits, and
-    the form vanishes where L[low] = -H[high].  Each (form, point) is then
-    one comparison; L has at most _SCAN_CHUNK rows, and H is built in
-    runs so no comparison exceeds _SCAN_CHUNK forms.
+    the form vanishes where L[low] = -H[high].  Both are held point-major,
+    and each run of H has one (high x low) counter, to which every point
+    adds its comparisons L[p] = -H[p]: no (form, point) array is built.
+    L has at most _SCAN_CHUNK low rows, each run at most _SCAN_CHUNK
+    forms, and the counter's dtype holds the number of points.
     """
     Q, M = spec.order, len(monos)
     c = np.arange(Q, dtype=np.int64)[:, None]
     # table[m][c]: c times monomial m at every point
     table = [form_values(spec, (c,), (m,), X, Y, Z) for m in monos]
-    dtype = np.min_scalar_type(Q - 1)
+    dtype, count = np.min_scalar_type(Q - 1), np.min_scalar_type(len(X))
     for lead in range(M):
         free = M - 1 - lead
         low = 0
@@ -136,16 +142,19 @@ def _zero_hits(spec: FieldSpec, monos, X, Y, Z):
         L = np.zeros((1, table[0].shape[1]), dtype=np.int64)
         for m in range(M - low, M):
             L = spec.add_v(L[:, None], table[m][None]).reshape(-1, L.shape[1])
-        L = L.astype(dtype)
-        high_rows, step = Q ** (free - low), max(1, _SCAN_CHUNK // len(L))
+        L = np.ascontiguousarray(L.T, dtype=dtype)
+        high_rows, step = Q ** (free - low), max(1, _SCAN_CHUNK // L.shape[1])
         for h0 in range(0, high_rows, step):
             # the high digits are canonical rows over the first M - low monomials
             h = _coeff_rows(Q, M - low, lead, np.arange(h0, min(h0 + step, high_rows)))
             H = table[lead][h[:, lead]]
             for m in range(lead + 1, M - low):
                 H = spec.add_v(H, table[m][h[:, m]])
-            neg = spec.neg_v(H).astype(dtype)
-            yield lead, h0 * len(L), np.count_nonzero(L == neg[:, None], axis=2).reshape(-1)
+            neg = np.ascontiguousarray(spec.neg_v(H).T, dtype=dtype)
+            hits = np.zeros((len(h), L.shape[1]), dtype=count)
+            for Lp, negp in zip(L, neg):
+                hits += Lp == negp[:, None]
+            yield lead, h0 * L.shape[1], hits.reshape(-1)
 
 
 def _shares_hermitian_component(form: TernaryForm, h: TernaryForm) -> bool:

@@ -6,9 +6,9 @@ modulus, and "0" is the zero element; they are read from that form, from
 generator powers "w^k" and from integer encodings.  Points, held as
 enumeration indices everywhere else, print as "[x:y:z]" scaled so that
 the first nonzero coordinate is 1.  Curves serialize to JSON with their
-field, degree, model tag and sparse term list; a curve file that is not
-exactly that (a non-integer exponent or degree, a boolean coefficient,
-the zero form) is a ValueError.
+field, degree, optional model tag and sparse term list; a curve file
+that is not exactly that (a non-integer exponent or degree, a boolean
+coefficient, the zero form, a model other than H1 or H2) is a ValueError.
 """
 
 from __future__ import annotations
@@ -126,6 +126,8 @@ def curve_from_dict(data: dict) -> TernaryForm:
     form = TernaryForm(spec, degree, terms)
     if form.is_zero():
         raise ValueError("curve is the zero form, which vanishes at every point")
+    if "model" in data and data["model"] not in ("H1", "H2"):
+        raise ValueError(f"curve 'model' = {data['model']!r} is not 'H1' or 'H2'")
     return form
 
 
@@ -135,6 +137,8 @@ def save_curve(path, form: TernaryForm, model: str | None = None):
         fh.write("\n")
 
 
-def load_curve(path) -> TernaryForm:
+def load_curve(path) -> tuple[TernaryForm, str | None]:
+    """The curve in a file and the Hermitian model it records, or None."""
     with open(path) as fh:
-        return curve_from_dict(json.load(fh))
+        data = json.load(fh)
+    return curve_from_dict(data), data.get("model")

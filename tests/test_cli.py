@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -85,7 +86,7 @@ def test_intersect_emit_points_match_brute_force(capsys, tmp_path):
     assert code == 0
     rec = json.loads(out)
     assert rec["count"] == len(rec["points"]) == 12
-    assert rec["points"] == _printed_points([hermitian_model(3, "H1"), load_curve(path)])
+    assert rec["points"] == _printed_points([hermitian_model(3, "H1"), load_curve(path)[0]])
 
 
 @pytest.mark.parametrize("model", ["H1", "H2"])
@@ -210,6 +211,42 @@ def test_construct_round_trips_through_intersect(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(out)["count"] == 12
+
+
+def _monomial_curve_file(capsys, tmp_path):
+    # a monomial curve over F_25 whose file records H2: 12 points on H2,
+    # 6 on H1
+    path = str(tmp_path / "m.json")
+    code, _, _ = run(
+        capsys, "construct", "--family", "monomial", "--q", "5", "--d", "3",
+        "--alpha", "w", "--output", path,
+    )
+    assert code == 0
+    assert json.loads(Path(path).read_text())["model"] == "H2"
+    return path
+
+
+def test_intersect_defaults_to_the_curve_file_model(capsys, tmp_path):
+    path = _monomial_curve_file(capsys, tmp_path)
+    code, out, _ = run(capsys, "intersect", "--curve", path, "--q", "5", "--format", "json")
+    assert code == 0
+    rec = json.loads(out)
+    assert (rec["model"], rec["count"]) == ("H2", 12)
+    code, out, _ = run(
+        capsys, "verify", "--family", "monomial", "--q", "5", "--d", "3", "--alpha", "w",
+        "--format", "json",
+    )
+    assert json.loads(out)["count"] == rec["count"]
+
+
+def test_intersect_explicit_model_wins_over_the_file(capsys, tmp_path):
+    path = _monomial_curve_file(capsys, tmp_path)
+    code, out, _ = run(
+        capsys, "intersect", "--curve", path, "--q", "5", "--model", "H1", "--format", "json"
+    )
+    assert code == 0
+    rec = json.loads(out)
+    assert (rec["model"], rec["count"]) == ("H1", 6)
 
 
 # what `construct --format json` prints besides the terms: each parameter
@@ -362,6 +399,10 @@ def test_intersect_rejects_out_of_range_coefficient(capsys, tmp_path):
         ({"p": 3, "m": 2, "degree": 1, "terms": []}, "zero form"),
         ({"p": 3, "m": 2, "degree": 1, "terms": [{"i": 1, "j": 0, "k": 0, "coeff": "0"}]},
          "zero form"),
+        ({"p": 3, "m": 2, "degree": 1, "terms": [{"i": 1, "j": 0, "k": 0, "coeff": 1}],
+          "model": "H3"}, "curve 'model' = 'H3' is not 'H1' or 'H2'"),
+        ({"p": 3, "m": 2, "degree": 1, "terms": [{"i": 1, "j": 0, "k": 0, "coeff": 1}],
+          "model": None}, "curve 'model' = None is not 'H1' or 'H2'"),
     ],
 )
 def test_intersect_rejects_malformed_curve_file(capsys, tmp_path, data, key):
@@ -451,6 +492,19 @@ def test_negative_search(capsys):
     assert code == 0
     rec = json.loads(out)
     assert rec["total_forms_scanned"] == 1365 and rec["complete"] is True
+
+
+def test_negative_search_emit_points_bytes(capsys):
+    # the 945 achievers of (3, 2), each in `achievers` and in its class
+    # list, print exactly as they did when every list serialized its forms
+    code, out, _ = run(
+        capsys, "negative-search", "--q", "3", "--d", "2", "--emit-points", "--format", "json"
+    )
+    assert code == 0
+    assert len(json.loads(out)["achievers"]) == 945
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "b44f6738f47852d2b539e431c3269088e6221654beca435f2059b397d22a8c37"
+    )
 
 
 def test_reproduce_paper_filter(capsys):

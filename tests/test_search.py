@@ -116,3 +116,16 @@ def test_zero_hits_count_the_rebuilt_form(q, d):
     for i, coeffs in zip(rows, _coeff_rows(spec.order, len(monos), lead, offset + rows)):
         f = TernaryForm(spec, d, {m: int(c) for m, c in zip(monos, coeffs) if c})
         assert intersection(h, f).count == hits[i]
+
+
+def test_zero_hits_count_past_255_points():
+    # the counter is sized by the number of points: 30 copies of the 9
+    # points of (2, 3) give counts up to 270, which a uint8 counter wraps
+    spec = hermitian_model(2, "H2").field
+    monos = monomials(3)
+    points = point_coords(spec.order, hermitian_points(2, "H2"))
+    once = np.concatenate([hits for _, _, hits in _zero_hits(spec, monos, *points)])
+    tiled = [np.tile(v, 30) for v in points]
+    many = np.concatenate([hits for _, _, hits in _zero_hits(spec, monos, *tiled)])
+    assert once.max() == 9
+    assert np.array_equal(many.astype(np.int64), 30 * once.astype(np.int64))

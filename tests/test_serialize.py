@@ -76,8 +76,9 @@ def test_curve_file_round_trip(tmp_path):
     f = TernaryForm(spec, 3, {(3, 0, 0): 1, (0, 2, 1): 7, (0, 0, 3): 2})
     path = tmp_path / "curve.json"
     save_curve(path, f, model="H2")
-    g = load_curve(path)
+    g, model = load_curve(path)
     assert g == f
+    assert model == "H2"
     data = json.loads(path.read_text())
     assert data["model"] == "H2"
 
@@ -89,7 +90,9 @@ def test_curve_file_round_trip_is_canonical(tmp_path):
     p1 = tmp_path / "a.json"
     p2 = tmp_path / "b.json"
     save_curve(p1, f)
-    save_curve(p2, load_curve(p1))
+    g, model = load_curve(p1)
+    assert model is None
+    save_curve(p2, g)
     assert p1.read_text() == p2.read_text()
 
 
