@@ -18,7 +18,7 @@ from functools import cache
 
 from .constructions import ConstructionError, FAMILIES, build, measure
 from .field import MAX_ORDER, FieldError, prime_power
-from .plane import hermitian_model, hermitian_points, intersection
+from .plane import hermitian_model, hermitian_point_count, hermitian_points, intersection
 from .search import SearchBudgetError, exhaustive_negative_search
 from .serialize import (
     curve_to_dict,
@@ -77,12 +77,13 @@ def _cell(v):
 # ---------------------------------------------------------------------------
 
 def cmd_hermitian_points(args):
-    idx = hermitian_points(args.q, args.model)
     if args.emit_points:
+        idx = hermitian_points(args.q, args.model)
         points = format_points(hermitian_model(args.q, args.model).field, idx)
         recs = [{"q": args.q, "model": args.model, "point": P} for P in points]
     else:
-        recs = [{"q": args.q, "model": args.model, "points": len(idx)}]
+        n = hermitian_point_count(args.q, args.model)
+        recs = [{"q": args.q, "model": args.model, "points": n}]
     _emit(recs, args.format)
     return 0
 
@@ -188,12 +189,7 @@ def cmd_negative_search(args):
     if args.budget is not None:
         kwargs["budget"] = args.budget
     rep = exhaustive_negative_search(args.q, args.d, **kwargs)
-    rec = rep.to_dict()
-    if not args.emit_points:
-        rec.pop("achievers", None)
-        rec.pop("irreducible_achievers", None)
-        rec.pop("reducible_achievers", None)
-    _emit([rec], args.format)
+    _emit([rep.to_dict() if args.emit_points else rep.summary()], args.format)
     return 0
 
 

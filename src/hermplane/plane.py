@@ -17,28 +17,26 @@ Large point sets are walked in blocks of about _CHUNK = 2^16 points, so
 the kernel's int64 temporaries stay near L2 size whatever q is: the plane
 (`_plane_blocks`, behind `evaluate_all`, `zero_mask` and the zero mask of
 `vanishing_lines`) by runs of whole rows of the grid with z the scalar 1,
-and the Hermitian points (`_hermitian_blocks`) by runs of their affine
-indices.  A batch of forms (coefficient rows over one monomial list) is
-evaluated in the same walks, all rows per block; the Hermitian walk
-shortens its blocks so that a block's values stay near _CHUNK entries.
+and the Hermitian points (`_hermitian_blocks`) by runs of rows of their
+fiber table.  A batch of forms (coefficient rows over one monomial list)
+is evaluated in the same walks, all rows per block; the Hermitian walk
+shortens its runs so that a run's values stay near _CHUNK entries.
 
-The Hermitian points are not found on the grid but by solving the chart
-z = 1 (`hermitian_points`): neither model has a term with both X and Y,
-so h(x, y, 1) = a(x) + b(y), two kernel calls over F_Q, and the zeros are
-the pairs with b(y) = -a(x), read off a stable sort of b.  That is O(q^3)
-work against the grid's O(q^4).  One walk, `_hermitian_blocks`, evaluates
-forms on these q^3+1 points: the affine ones block by block as (x, y, 1)
-with x, y read off the index, then the q+1 (H2) or 1 (H1) points at
-infinity, all of them (x, 1, 0).  It has two readers, both taking a
-Hermitian model as their only first argument: `intersection` measures one
-form in blocks of _CHUNK points and keeps its zeros, and
-`intersection_counts` counts the zeros of each row of a batch, which is
-how the verification matrix checks the monomial fast count for every
-alpha of a (q, d) at once.  `points_on` of a model, the
-`hermitian-points` count and the negative search read the same set.  The
-full plane (`evaluate_all`, `zero_mask`) serves every other form and is
-the independent count the verification matrix checks the point set
-against; it is refused beyond F_{64^2}.
+The Hermitian points are not found on the grid but read off one cached
+fiber table per model (`_Fibers`): h(x, y, 1) = a(x) + b(y), so they are
+the products a^-1(w) x b^-1(-w) of norm and trace fibers, stacked as rows,
+O(q^2) entries for q^3 points.  `_hermitian_blocks` evaluates forms on
+runs of rows, then on the points at infinity: two kernel calls for a
+small form.  Its two readers take a Hermitian model as their only first
+argument: `intersection` measures one form, and `intersection_counts`
+counts the zeros of each row of a batch, which is how the verification
+matrix checks the monomial fast count for every alpha of a (q, d) at
+once.  `hermitian_point_count` sums the fiber products; `hermitian_points`
+lists the points from the same table for `points_on` of a model,
+`hermitian-points --emit-points` and the negative search.  The full plane
+(`evaluate_all`, `zero_mask`) serves every other form and is the
+independent count the verification matrix checks the point set against;
+it is refused beyond F_{64^2}.
 
 The factor certificate has two parts.  A form whose three partials are
 nonzero single terms, powers of X, Y and Z up to order (H1, H2, the
@@ -67,6 +65,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
+from typing import NamedTuple
 
 import numpy as np
 
@@ -353,6 +352,74 @@ def _hermitian_variant(f: TernaryForm) -> str | None:
     return next((v for v, h in models if f is h or f == h), None)
 
 
+class _Fibers(NamedTuple):
+    """The rational points of a Hermitian model as stacked fiber products.
+
+    Neither model has a term with both X and Y, so h(x, y, 1) = a(x) + b(y)
+    and the affine points are the products of the fibers a^-1(w) and
+    b^-1(-w), one row r for each w whose two fibers are nonempty: the
+    points (X[r, i], Y[r, j], 1) with i < nx[r] and j < ny[r], each fiber
+    ascending.  A fiber shorter than its row (only {0}) repeats its last
+    point, and `valid` masks the repeats out of a run of rows.  The points
+    at infinity are (x, 1, 0) for x in `infinity`, ascending.
+    """
+
+    X: np.ndarray
+    Y: np.ndarray
+    nx: np.ndarray
+    ny: np.ndarray
+    infinity: np.ndarray
+
+    def valid(self, rows: slice) -> np.ndarray:
+        """(rows, m1, m2) mask of the entries of a run of rows that are no repeats."""
+        i = np.arange(self.X.shape[1]) < self.nx[rows, None]
+        j = np.arange(self.Y.shape[1]) < self.ny[rows, None]
+        return i[:, :, None] & j[:, None, :]
+
+
+def _fiber_rows(values: np.ndarray, size: np.ndarray, w: np.ndarray):
+    """(rows, lengths): row r lists the t with values[t] = w[r], ascending
+    (a stable sort of `values`), its last one repeated to the longest row;
+    `size` is the bincount of `values`."""
+    first = np.cumsum(size) - size
+    n = size[w]
+    pad = np.minimum(np.arange(n.max()), n[:, None] - 1)
+    return np.argsort(values, kind="stable")[first[w, None] + pad], n
+
+
+@lru_cache(maxsize=None)
+def _hermitian_fibers(q: int, variant: str) -> _Fibers:
+    h = hermitian_model(q, variant)
+    spec, Q = h.field, h.field.order
+    coeffs, monos = tuple(h.terms.values()), tuple(h.terms)
+    t = np.arange(Q, dtype=np.int64)
+    # a(x) = h(x, 0, 1) and b(y) = h(0, y, 1) - h(0, 0, 1)
+    a = form_values(spec, coeffs, monos, t, 0, 1)
+    b = spec.add_v(form_values(spec, coeffs, monos, 0, t, 1), spec.neg_v(a[:1]))
+    size_a, size_b = np.bincount(a, minlength=Q), np.bincount(b, minlength=Q)
+    w = np.flatnonzero(size_a * size_b[spec.neg_v(t)])
+    X, nx = _fiber_rows(a, size_a, w)
+    Y, ny = _fiber_rows(b, size_b, spec.neg_v(w))
+    # (1, 0, 0) lies on neither model: both have the term X^(q+1)
+    infinity = t[form_values(spec, coeffs, monos, t, 1, 0) == 0]
+    return _Fibers(X, Y, nx, ny, infinity)
+
+
+def _fibers_of(h: TernaryForm) -> _Fibers:
+    """The fiber table of a Hermitian model h; any other h is a ValueError."""
+    variant = _hermitian_variant(h)
+    if variant is None:
+        raise ValueError("the first form of an intersection must be a Hermitian model")
+    return _hermitian_fibers(isqrt(h.field.order), variant)
+
+
+def hermitian_point_count(q: int, variant: str = "H1") -> int:
+    """The number of rational points of a Hermitian model, read off its
+    fiber table without listing them."""
+    fib = _hermitian_fibers(q, variant)
+    return int(fib.nx @ fib.ny) + len(fib.infinity)
+
+
 @lru_cache(maxsize=None)
 def hermitian_points(q: int, variant: str = "H1") -> np.ndarray:
     """Enumeration indices of the q^3+1 rational points of a Hermitian model.
@@ -360,26 +427,15 @@ def hermitian_points(q: int, variant: str = "H1") -> np.ndarray:
     Ascending and read-only; the same set as ``np.flatnonzero(zero_mask(h))``
     in O(q^3) work instead of O(q^4), so it also serves q > 64.
     """
-    h = hermitian_model(q, variant)
-    spec, Q = h.field, h.field.order
-    coeffs, monos = tuple(h.terms.values()), tuple(h.terms)
-    t = np.arange(Q, dtype=np.int64)
-    # no term has both X and Y, so h(x, y, 1) = a(x) + b(y) with
-    # a(x) = h(x, 0, 1) and b(y) = h(0, y, 1) - h(0, 0, 1)
-    a = form_values(spec, coeffs, monos, t, 0, 1)
-    b = spec.add_v(form_values(spec, coeffs, monos, 0, t, 1), spec.neg_v(a[:1]))
-    # group the y by b(y), ascending within a group; row x takes the
-    # group of value -a(x), so x * Q + y comes out in enumeration order
-    ys = np.argsort(b, kind="stable")
-    size = np.bincount(b, minlength=Q)
-    want = spec.neg_v(a)
-    n = size[want]
-    first = np.cumsum(size) - size
-    pos = np.arange(n.sum()) + np.repeat(first[want] - (np.cumsum(n) - n), n)
-    affine = np.repeat(t * Q, n) + ys[pos]
-    rest = Q * Q + np.arange(Q + 1)  # (x, 1, 0) and (1, 0, 0)
-    rest = rest[form_values(spec, coeffs, monos, *point_coords(Q, rest)) == 0]
-    out = np.concatenate((affine, rest))
+    fib = _hermitian_fibers(q, variant)
+    Q = q * q
+    # each x lies in one fiber row; x-major, its y come out ascending
+    row = np.full(Q, -1)
+    row[fib.X] = np.arange(len(fib.X))[:, None]
+    x = np.flatnonzero(row >= 0)
+    r = row[x]
+    keep = np.arange(fib.Y.shape[1]) < fib.ny[r, None]
+    out = np.concatenate(((x[:, None] * Q + fib.Y[r])[keep], Q * Q + fib.infinity))
     out.flags.writeable = False
     return out
 
@@ -401,59 +457,65 @@ class IntersectionReport:
     degenerate: bool = False
 
 
-def _hermitian_blocks(h: TernaryForm, coeffs, monos, size: int):
-    """(points, values) for consecutive blocks of the Hermitian points of h:
-    `points` holds enumeration indices, and values[..., i] the value at
-    points[i].
-
-    The affine points (x, y, 1) come first, `size` at a time, with x, y
-    read off the index; then those at infinity, all (x, 1, 0), since
-    (1, 0, 0) lies on neither model.  `coeffs` is as for `form_values`,
-    with rows that broadcast against a row of points.  An h that is not a
-    Hermitian model is a ValueError.
+def _hermitian_blocks(fib: _Fibers, spec: FieldSpec, coeffs, monos, size: int):
+    """(rows, values) for the points of a fiber table: first runs of rows,
+    `rows` a slice of them and values[..., r, i, j] the value at
+    (X[r, i], Y[r, j], 1), as many rows as keep a run within `size`
+    entries (at least one); then rows None and values[..., i] the value
+    at (infinity[i], 1, 0).  The log gathers of a term read rows x
+    (m1 + m2) entries, not rows x m1 x m2.  `coeffs` is as for
+    `form_values`, with rows that broadcast against a (rows, m1, m2) run.
     """
-    variant = _hermitian_variant(h)
-    if variant is None:
-        raise ValueError("the first form of an intersection must be a Hermitian model")
-    spec, Q = h.field, h.field.order
-    idx = hermitian_points(isqrt(Q), variant)
-    affine = int(np.searchsorted(idx, Q * Q))
-    for lo in range(0, affine, size):
-        block = idx[lo : min(lo + size, affine)]
-        x, y = np.divmod(block, Q)
-        yield block, form_values(spec, coeffs, monos, x, y, 1)
-    rest = idx[affine:]
-    yield rest, form_values(spec, coeffs, monos, rest - Q * Q, 1, 0)
+    X, Y = fib.X, fib.Y
+    step = max(1, size // (X.shape[1] * Y.shape[1]))
+    for r in range(0, len(X), step):
+        rows = slice(r, r + step)
+        yield rows, form_values(spec, coeffs, monos, X[rows, :, None], Y[rows, None, :], 1)
+    yield None, form_values(spec, coeffs, monos, fib.infinity, 1, 0)
 
 
 def intersection(h: TernaryForm, f: TernaryForm) -> IntersectionReport:
     """Count the common F_{q^2}-rational points of a Hermitian model h and f.
 
-    f is evaluated only at the q^3+1 points of h (`hermitian_points`),
-    _CHUNK at a time; f = h up to a scalar is flagged as degenerate.  An h
-    that is not a Hermitian model is a ValueError.
+    f is evaluated only at the q^3+1 points of h, a run of fiber rows of
+    about _CHUNK points at a time; f = h up to a scalar is flagged as
+    degenerate.  An h that is not a Hermitian model is a ValueError.
     """
     if h.field is not f.field:
         raise FieldError("forms over different fields")
+    fib, Q = _fibers_of(h), h.field.order
     coeffs, monos = tuple(f.terms.values()), tuple(f.terms)
-    blocks = _hermitian_blocks(h, coeffs, monos, _CHUNK)
-    idx = np.concatenate([points[values == 0] for points, values in blocks])
-    return IntersectionReport(isqrt(h.field.order), f.degree, len(idx), idx, f == h)
+    affine = []
+    for rows, values in _hermitian_blocks(fib, h.field, coeffs, monos, _CHUNK):
+        if rows is None:
+            rest = Q * Q + fib.infinity[values == 0]
+        else:
+            r, i, j = np.nonzero((values == 0) & fib.valid(rows))
+            r += rows.start
+            affine.append(fib.X[r, i] * Q + fib.Y[r, j])
+    idx = np.concatenate((np.sort(np.concatenate(affine)), rest))
+    return IntersectionReport(isqrt(Q), f.degree, len(idx), idx, f == h)
 
 
 def intersection_counts(h: TernaryForm, monos, batch) -> np.ndarray:
     """For each coefficient row of `batch` over `monos`, the number of points
     of the Hermitian model h where that form vanishes.
 
-    All rows are evaluated in one kernel call per block, and a block has
-    _CHUNK // len(batch) points (at least 1), so its values stay near
-    _CHUNK entries.  Row r counts as ``intersection(h, f_r).count``.
+    All rows are evaluated in one kernel call per run of fiber rows, and a
+    run has about _CHUNK // len(batch) points (at least one fiber row), so
+    its values stay near _CHUNK entries.  Row r counts as
+    ``intersection(h, f_r).count``.
     """
+    fib = _fibers_of(h)
     batch = np.asarray(batch, dtype=np.int64).reshape(len(batch), len(monos))
     counts = np.zeros(len(batch), dtype=np.int64)
     size = max(1, _CHUNK // max(1, len(batch)))
-    for _, values in _hermitian_blocks(h, batch.T[:, :, None], monos, size):
-        counts += np.count_nonzero(values == 0, axis=-1)
+    coeffs = batch.T[:, :, None, None, None]
+    for rows, values in _hermitian_blocks(fib, h.field, coeffs, monos, size):
+        zero = values == 0
+        if rows is not None:
+            zero &= fib.valid(rows)
+        counts += np.count_nonzero(zero, axis=(1, 2, 3))
     return counts
 
 

@@ -72,6 +72,17 @@ class SearchReport:
     irreducible_achievers: list = dc_field(default_factory=list)
     reducible_achievers: list = dc_field(default_factory=list)
 
+    def summary(self):
+        """The record without the achiever forms."""
+        return {
+            "q": self.q,
+            "d": self.d,
+            "model": self.model,
+            "target": self.target,
+            "total_forms_scanned": self.total_forms_scanned,
+            "complete": self.complete,
+        }
+
     def to_dict(self):
         # the class lists hold achievers again: serialize each form once
         done = {id(f): sorted(f.terms.items()) for f in self.achievers}
@@ -80,12 +91,7 @@ class SearchReport:
             return [done.get(id(f)) or sorted(f.terms.items()) for f in forms]
 
         return {
-            "q": self.q,
-            "d": self.d,
-            "model": self.model,
-            "target": self.target,
-            "total_forms_scanned": self.total_forms_scanned,
-            "complete": self.complete,
+            **self.summary(),
             "achievers": ser(self.achievers),
             "irreducible_achievers": ser(self.irreducible_achievers),
             "reducible_achievers": ser(self.reducible_achievers),

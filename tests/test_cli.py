@@ -10,6 +10,7 @@ import pytest
 from hermplane import cli
 from hermplane.cli import main
 from hermplane.plane import hermitian_model, zero_mask
+from hermplane.search import SearchReport
 from hermplane.serialize import format_element, load_curve
 
 
@@ -154,6 +155,19 @@ def test_negative_search_bad_degree_or_budget_is_usage_error(capsys, argv, messa
     assert code == 2
     assert out == ""
     assert err == f"error: {message}\n"
+
+
+def test_negative_search_without_emit_points_serializes_no_achiever(capsys, monkeypatch):
+    def refuse(self):
+        raise AssertionError("achievers serialized without --emit-points")
+
+    monkeypatch.setattr(SearchReport, "to_dict", refuse)
+    code, out, _ = run(capsys, "negative-search", "--q", "3", "--d", "2")
+    assert code == 0
+    assert out == (
+        "q  d  model  target  total_forms_scanned  complete\n"
+        "3  2  H2     8       66430                True\n"
+    )
 
 
 def test_verify_success_and_failure_exit_codes(capsys):
@@ -564,3 +578,31 @@ def test_cli_import_leaves_sympy_out():
         env=env, capture_output=True, text=True, check=True,
     )
     assert done.stdout == "3 True True\n"
+
+
+_NUMPY_MA_GUARD = """
+import contextlib, io, sys
+import hermplane.cli
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        hermplane.cli.main(argv.split())
+        for argv in (
+            "hermitian-points --q 8",
+            "verify --family monomial --q 8 --d 5 --alpha w",
+            "negative-search --q 2 --d 2",
+        )
+    ]
+print(codes, "numpy.ma" in sys.modules)
+"""
+
+
+def test_plane_commands_leave_numpy_ma_out():
+    # some numpy calls load numpy.ma lazily: in numpy 2.4 a first plain
+    # np.unique takes about 16 ms, most of it that import
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-c", _NUMPY_MA_GUARD],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    assert done.stdout == "[0, 1, 0] False\n"

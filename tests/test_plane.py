@@ -14,6 +14,7 @@ from hermplane.plane import (
     form_values,
     has_smooth_rational_point,
     hermitian_model,
+    hermitian_point_count,
     hermitian_points,
     intersection,
     intersection_counts,
@@ -235,6 +236,40 @@ def test_hermitian_points_match_full_plane(q, model):
     assert not idx.flags.writeable
 
 
+@pytest.mark.parametrize("model", ["H1", "H2"])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_fiber_table_count_matches_listing_and_full_plane(q, model):
+    # the summed fiber products, the x-major listing and the full plane
+    n = np.count_nonzero(zero_mask(hermitian_model(q, model)))
+    assert hermitian_point_count(q, model) == len(hermitian_points(q, model)) == n
+
+
+@pytest.mark.parametrize("model", ["H1", "H2"])
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_fiber_walk_matches_full_plane_on_the_axes(q, model):
+    # forms through (0, y, 1) and (x, 0, 1) vanish on the single-point
+    # fibers {0}, whose rows repeat their point: a repeat that escaped the
+    # validity mask would be counted twice
+    rng = np.random.default_rng(100 + q)
+    h = hermitian_model(q, model)
+    spec = h.field
+    X, Y = (TernaryForm(spec, 1, {m: 1}) for m in ((1, 0, 0), (0, 1, 0)))
+    forms = [X, Y, X * Y]
+    for d in (1, 2, 3):
+        for _ in range(3):
+            g = _random_form(rng, spec, d)
+            forms += [g, X * g, Y * g]
+    on_h = zero_mask(h)
+    by_degree = {}
+    for f in forms:
+        want = np.flatnonzero(on_h & zero_mask(f))
+        assert intersection(h, f).points.tolist() == want.tolist()
+        by_degree.setdefault(f.degree, []).append((f, len(want)))
+    for d, pairs in by_degree.items():
+        batch = [[f.terms.get(m, 0) for m in monomials(d)] for f, _ in pairs]
+        assert intersection_counts(h, monomials(d), batch).tolist() == [n for _, n in pairs]
+
+
 @st.composite
 def _hermitian_and_form(draw):
     q = draw(st.sampled_from((2, 3, 4, 5)))
@@ -291,9 +326,9 @@ def test_intersection_counts_match_single_intersections(case):
 @pytest.mark.parametrize("model", ["H1", "H2"])
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_blocks_smaller_than_a_row_change_nothing(monkeypatch, q, model):
-    # a block of 7 points: intersection blocks end inside rows of the grid,
-    # the plane walks one row of x at a time, the line listing takes one
-    # zero per group, and a batch of 10 forms takes one point per block
+    # a block of 7 points: intersections walk one fiber row at a time, as
+    # does a batch of 10 forms, the plane walks one row of x at a time, and
+    # the line listing takes one zero per group
     rng = np.random.default_rng(q)
     h = hermitian_model(q, model)
     spec = h.field
