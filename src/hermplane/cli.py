@@ -35,6 +35,8 @@ from .splitting import (
 )
 from . import reproduce
 
+# points formatted per write when `hermitian-points` streams json lines
+_EMIT_CHUNK = 1 << 14
 
 # ---------------------------------------------------------------------------
 # output plumbing: a list of flat dicts rendered as json-lines / csv / table
@@ -77,14 +79,17 @@ def _cell(v):
 # ---------------------------------------------------------------------------
 
 def cmd_hermitian_points(args):
-    if args.emit_points:
-        idx = hermitian_points(args.q, args.model)
-        points = format_points(hermitian_model(args.q, args.model).field, idx)
-        recs = [{"q": args.q, "model": args.model, "point": P} for P in points]
-    else:
+    if not args.emit_points:
         n = hermitian_point_count(args.q, args.model)
-        recs = [{"q": args.q, "model": args.model, "points": n}]
-    _emit(recs, args.format)
+        _emit([{"q": args.q, "model": args.model, "points": n}], args.format)
+        return 0
+    spec, idx = hermitian_model(args.q, args.model).field, hermitian_points(args.q, args.model)
+    # json lines go out _EMIT_CHUNK points at a time; a table or csv needs
+    # every row at once for its columns
+    step = _EMIT_CHUNK if args.format == "json" else len(idx)
+    for i in range(0, len(idx), step):
+        points = format_points(spec, idx[i : i + step])
+        _emit(({"q": args.q, "model": args.model, "point": P} for P in points), args.format)
     return 0
 
 

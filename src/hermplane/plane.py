@@ -33,7 +33,9 @@ counts the zeros of each row of a batch, which is how the verification
 matrix checks the monomial fast count for every alpha of a (q, d) at
 once.  `hermitian_point_count` sums the fiber products; `hermitian_points`
 lists the points from the same table for `points_on` of a model,
-`hermitian-points --emit-points` and the negative search.  The full plane
+`hermitian-points --emit-points` and the negative search, and
+`hermitian_secants` the lines through q+1 of them, for the search's
+line test.  The full plane
 (`evaluate_all`, `zero_mask`) serves every other form and is the
 independent count the verification matrix checks the point set against;
 it is refused beyond F_{64^2}.
@@ -438,6 +440,27 @@ def hermitian_points(q: int, variant: str = "H1") -> np.ndarray:
     out = np.concatenate(((x[:, None] * Q + fib.Y[r])[keep], Q * Q + fib.infinity))
     out.flags.writeable = False
     return out
+
+
+@lru_cache(maxsize=None)
+def hermitian_secants(q: int, variant: str = "H1") -> tuple[np.ndarray, np.ndarray]:
+    """(lines, on): the line indices of the secants of a Hermitian model,
+    ascending, and on[s] the positions in `hermitian_points` of the q+1
+    points of secant s, ascending; both read-only.
+
+    A line meets the model in 1 or q+1 rational points.  The lines through
+    each point are the points of its dual line, as in `vanishing_lines`,
+    and the secants are the lines listed q+1 times.
+    """
+    spec = ambient(q)
+    points = point_coords(spec.order, hermitian_points(q, variant))
+    through = point_index(spec, *line_points(spec, *points))
+    lines, count = np.unique(through, return_counts=True)
+    lines = lines[count == q + 1]
+    point, col = np.nonzero(np.isin(through, lines))
+    on = point[np.argsort(through[point, col], kind="stable")].reshape(-1, q + 1)
+    lines.flags.writeable = on.flags.writeable = False
+    return lines, on
 
 
 # ---------------------------------------------------------------------------

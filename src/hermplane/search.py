@@ -18,10 +18,18 @@ Form indices are int64; a space past int64 is refused before the scan,
 so every place value Q^k the scan decodes fits.
 
 An achiever, rebuilt from its index, that shares no component with the
-Hermitian model is classified: for 2 <= d <= Q the achievers that vanish
-on a whole line are reducible by one line test over the batch
-(`vanishing_lines`, which counts the zeros of each achiever on the lines
-through them), and the rest, lines included, go through the factor
+Hermitian model is classified by its line factors, which the Hermitian
+points alone decide.  A line meets H_q in 1 or q+1 rational points, and
+for d >= 2 a line factor L of an achiever f = L g holds at least q+1
+of its d(q+1) zeros, since g meets H_q in at most (d-1)(q+1) by Bezout:
+L is a secant whose q+1 points are all zeros of f.  The secant vote
+(`_full_secants`) finds these secants for all achievers at once from
+their values at the Hermitian points, sums of the rows of the scan's
+term table, and evaluates no form off H_q.  Such a secant divides f
+when d <= q, as f|_L then has more zeros than its degree; for d > q it
+is confirmed with `divides`.  An achiever with no line factor and
+d <= 3 is irreducible, since any factorization of a form of degree at
+most 3 has a linear factor; only d >= 4 goes through the factor
 certificate `reducibility_search`.  An achiever the certificate leaves
 open is in neither class, and an irreducible one is accepted only after
 `intersection` re-measures it to d(q+1).
@@ -40,11 +48,12 @@ from .plane import (
     form_values,
     hermitian_model,
     hermitian_points,
+    hermitian_secants,
     intersection,
+    line_form,
     monomials,
     point_coords,
     reducibility_search,
-    vanishing_lines,
 )
 
 SCAN_BUDGET = 10**7
@@ -136,9 +145,7 @@ def _zero_hits(spec: FieldSpec, monos, X, Y, Z):
     forms, and the counter's dtype holds the number of points.
     """
     Q, M = spec.order, len(monos)
-    c = np.arange(Q, dtype=np.int64)[:, None]
-    # table[m][c]: c times monomial m at every point
-    table = [form_values(spec, (c,), (m,), X, Y, Z) for m in monos]
+    table = _term_table(spec, monos, (X, Y, Z))
     dtype, count = np.min_scalar_type(Q - 1), np.min_scalar_type(len(X))
     for lead in range(M):
         free = M - 1 - lead
@@ -161,6 +168,42 @@ def _zero_hits(spec: FieldSpec, monos, X, Y, Z):
             for Lp, negp in zip(L, neg):
                 hits += Lp == negp[:, None]
             yield lead, h0 * L.shape[1], hits.reshape(-1)
+
+
+def _term_table(spec: FieldSpec, monos, points) -> list:
+    """table[m][c]: c times monomial m at each of the points (X, Y, Z), for
+    every encoding c; a form's values are the sum of its terms' rows."""
+    c = np.arange(spec.order, dtype=np.int64)[:, None]
+    return [form_values(spec, (c,), (m,), *points) for m in monos]
+
+
+def _full_secants(spec: FieldSpec, on, monos, batch, points) -> np.ndarray:
+    """(len(batch), len(on)) mask: the form of row r of `batch` vanishes at
+    all q+1 Hermitian points on[s] of secant s (`hermitian_secants`).
+
+    The forms are evaluated at the Hermitian points (X, Y, Z) only, as sums
+    of `_term_table` rows, in groups of rows whose gathered secant points
+    take at most 4 * _SCAN_CHUNK bools (128 KiB).
+    """
+    table = _term_table(spec, monos, points)
+    full = np.empty((len(batch), len(on)), dtype=bool)
+    step = max(1, 4 * _SCAN_CHUNK // on.size)
+    for r in range(0, len(batch), step):
+        rows = batch[r : r + step]
+        values = table[0][rows[:, 0]]
+        for m in range(1, len(monos)):
+            spec.add_v(values, table[m][rows[:, m]], out=values)
+        full[r : r + step] = (values == 0)[:, on].all(axis=-1)
+    return full
+
+
+def _has_line_factor(form: TernaryForm, q: int, secants) -> bool:
+    """Whether an achiever of degree d >= 2 has one of the lines `secants`,
+    those whose q+1 Hermitian points are all zeros of it, as a factor:
+    any one when d <= q, else one that `divides` confirms.  A line has none.
+    """
+    d = form.degree
+    return d > 1 and any(d <= q or divides(line_form(form.field, int(i)), form) for i in secants)
 
 
 def _shares_hermitian_component(form: TernaryForm, h: TernaryForm) -> bool:
@@ -204,25 +247,28 @@ def exhaustive_negative_search(
     target = d * (q + 1)
     report = SearchReport(q, d, model, target, 0, False)
     points = point_coords(Q, hermitian_points(q, model))
+    lines, on = hermitian_secants(q, model)
+    rows = []
     for lead, offset, hits in _zero_hits(spec, mons, *points):
         report.total_forms_scanned += len(hits)
-        rows = np.flatnonzero(hits == target)
-        batch = _coeff_rows(Q, M, lead, offset + rows)
-        # a line through d + 1 zeros of a form of degree d >= 2 divides it
-        lined = np.zeros(len(rows), dtype=bool)
-        if 2 <= d <= Q and len(rows):
-            lined = vanishing_lines(spec, mons, batch).any(axis=1)
-        for coeffs, has_line in zip(batch, lined):
-            form = TernaryForm(spec, d, {m: int(c) for m, c in zip(mons, coeffs) if c})
-            if _shares_hermitian_component(form, h):
-                continue
-            status = "factor" if has_line else reducibility_search(form).status
-            if status == "irreducible" and intersection(h, form).count != target:
-                continue  # not the form that was counted: no witness
-            report.achievers.append(form)
-            if status == "irreducible":
-                report.irreducible_achievers.append(form)
-            elif status == "factor":
-                report.reducible_achievers.append(form)
+        rows.append(_coeff_rows(Q, M, lead, offset + np.flatnonzero(hits == target)))
+    batch = np.concatenate(rows)
+    for coeffs, full in zip(batch.tolist(), _full_secants(spec, on, mons, batch, points)):
+        form = TernaryForm(spec, d, {m: c for m, c in zip(mons, coeffs) if c})
+        if _shares_hermitian_component(form, h):
+            continue
+        if _has_line_factor(form, q, lines[full]):
+            status = "factor"
+        elif d <= 3:
+            status = "irreducible"  # a reducible form of degree <= 3 has a line factor
+        else:
+            status = reducibility_search(form).status
+        if status == "irreducible" and intersection(h, form).count != target:
+            continue  # not the form that was counted: no witness
+        report.achievers.append(form)
+        if status == "irreducible":
+            report.irreducible_achievers.append(form)
+        elif status == "factor":
+            report.reducible_achievers.append(form)
     report.complete = report.total_forms_scanned == total
     return report

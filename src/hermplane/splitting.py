@@ -33,7 +33,7 @@ from math import factorial, gcd, isqrt
 
 import numpy as np
 
-from .field import MAX_ORDER, FieldSpec, ambient, field_of_order, prime_power, subfield_elements
+from .field import MAX_DEGREE, MAX_ORDER, FieldSpec, ambient, field_of_order, prime_power, subfield_elements
 
 # the most residues the prime pass lays end to end in one int64 array;
 # a prime above it is swept alone, so no array outgrows the O(p) tables
@@ -344,7 +344,8 @@ def survey_split(d: int, q_max: int, gcd_filter: int | None = None):
     power builds its field uncached and drops it after its count, so the
     sweep holds one field's tables at a time.  A d below 2 is refused, as
     is a filter below 1 (0 would sweep nothing, since gcd(q, 0) = q) and
-    a q_max above MAX_ORDER, all before the sieve is allocated.
+    a q_max above MAX_ORDER, all before the sieve is allocated, and a
+    swept p^m with m above MAX_DEGREE (2^17 onward), before the prime pass.
     """
     _check_degree(d)
     if gcd_filter is not None and gcd_filter < 1:
@@ -356,6 +357,12 @@ def survey_split(d: int, q_max: int, gcd_filter: int | None = None):
         for q, p, m in _prime_power_factors(2, q_max)
         if gcd_filter is None or gcd(q, gcd_filter) == 1
     ]
+    for q, p, m in swept:
+        if m > MAX_DEGREE:
+            raise ValueError(
+                f"survey q_max {q_max} sweeps {q} = {p}^{m}, "
+                f"past the largest extension degree {MAX_DEGREE}"
+            )
     counts = {}
     for run in _prime_runs([q for q, _, m in swept if m == 1]):
         hits, starts = _prime_fiber_hits(run, d)

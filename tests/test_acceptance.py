@@ -71,10 +71,13 @@ def test_exhaustive_negative_searches():
 
 
 def test_undecided_achievers_break_the_negative(monkeypatch):
-    # achievers with a factor degree the lines leave open are neither
-    # irreducible nor reducible; the negative must not hold on them
+    # achievers not proved reducible break the negative: with the secant
+    # vote hiding every line factor and the certificate left open, the
+    # d <= 3 achievers pass as irreducible and none is ruled out
     monkeypatch.setattr(
-        search, "vanishing_lines", lambda spec, monos, batch: np.zeros((len(batch), 1), bool)
+        search,
+        "_full_secants",
+        lambda spec, on, monos, batch, points: np.zeros((len(batch), len(on)), bool),
     )
     monkeypatch.setattr(
         search,

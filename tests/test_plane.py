@@ -16,8 +16,11 @@ from hermplane.plane import (
     hermitian_model,
     hermitian_point_count,
     hermitian_points,
+    hermitian_secants,
     intersection,
     intersection_counts,
+    line_count,
+    line_form,
     monomials,
     partials,
     point_coords,
@@ -390,6 +393,27 @@ def test_line_meets_hermitian_in_one_or_q_plus_one():
         line = TernaryForm(spec, 1, {(1, 0, 0): 1, (0, 1, 0): a})
         counts.add(intersection(h, line).count)
     assert counts <= {1, q + 1}
+
+
+@pytest.mark.parametrize("model", ["H1", "H2"])
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_hermitian_secants_against_every_line(q, model):
+    # every line of the plane evaluated at the Hermitian points: the lines
+    # with q+1 zeros are the q^2(q^2 - q + 1) secants, q^2 through each point
+    spec = hermitian_model(q, model).field
+    points = point_coords(spec.order, hermitian_points(q, model))
+    want_lines, want_on = [], []
+    for i in range(line_count(spec.order)):
+        g = line_form(spec, i)
+        zeros = np.flatnonzero(form_values(spec, tuple(g.terms.values()), tuple(g.terms), *points) == 0)
+        assert len(zeros) in (1, q + 1)
+        if len(zeros) == q + 1:
+            want_lines.append(i)
+            want_on.append(zeros.tolist())
+    lines, on = hermitian_secants(q, model)
+    assert lines.tolist() == want_lines and on.tolist() == want_on
+    assert len(lines) == q * q * (q * q - q + 1)
+    assert np.bincount(on.reshape(-1)).tolist() == [q * q] * (q**3 + 1)
 
 
 def test_intersection_flags_identical_curves():

@@ -1,20 +1,31 @@
+from functools import reduce
+from operator import mul
+
 import numpy as np
 import pytest
 
-from hermplane import search
+from hermplane import plane, search
+from hermplane.constructions import sporadic_cubic
 from hermplane.plane import (
     TernaryForm,
     divides,
     form_values,
     hermitian_model,
     hermitian_points,
+    hermitian_secants,
     intersection,
+    line_form,
+    line_points,
     monomials,
     point_coords,
+    point_index,
+    vanishing_lines,
 )
 from hermplane.search import (
     _MAX_FORM_INDEX,
     _coeff_rows,
+    _full_secants,
+    _has_line_factor,
     _zero_hits,
     exhaustive_negative_search,
     projective_form_count,
@@ -129,3 +140,97 @@ def test_zero_hits_count_past_255_points():
     many = np.concatenate([hits for _, _, hits in _zero_hits(spec, monos, *tiled)])
     assert once.max() == 9
     assert np.array_equal(many.astype(np.int64), 30 * once.astype(np.int64))
+
+
+def _line_test(q, model, forms):
+    """The search's line test on `forms` of one degree, (factor?, lines
+    voted for), next to the full-plane oracle (factor?, vanishing lines)."""
+    spec = hermitian_model(q, model).field
+    monos = monomials(forms[0].degree)
+    batch = np.array([[f.terms.get(m, 0) for m in monos] for f in forms])
+    points = point_coords(spec.order, hermitian_points(q, model))
+    lines, on = hermitian_secants(q, model)
+    voted = [lines[row] for row in _full_secants(spec, on, monos, batch, points)]
+    oracle = vanishing_lines(spec, monos, batch)
+    got = [(_has_line_factor(f, q, v), v.tolist()) for f, v in zip(forms, voted)]
+    want = [(bool(row.any()), np.flatnonzero(row).tolist()) for row in oracle]
+    return got, want
+
+
+@pytest.mark.parametrize("model", ["H1", "H2"])
+@pytest.mark.parametrize("q, d", [(3, 2), (3, 3), (4, 2), (4, 3), (4, 4)])
+def test_vote_finds_the_secants_of_planted_products(q, d, model):
+    # d secants with disjoint Hermitian points, so meeting off H: their
+    # product is an achiever, and for d <= q its line factors are exactly
+    # the secants the vote finds
+    h = hermitian_model(q, model)
+    lines, on = hermitian_secants(q, model)
+    rng = np.random.default_rng(10 * q + d)
+    forms = []
+    while len(forms) < 6:
+        chosen, used = [], set()
+        for s in rng.permutation(len(lines)):
+            if len(chosen) < d and used.isdisjoint(on[s].tolist()):
+                chosen.append(s)
+                used.update(on[s].tolist())
+        if len(chosen) == d:
+            f = reduce(mul, [line_form(h.field, int(lines[s])) for s in chosen])
+            assert intersection(h, f).count == d * (q + 1)
+            forms.append(f)
+    got, want = _line_test(q, model, forms)
+    assert got == want
+    assert all(len(v) == d for _, v in got)
+
+
+@pytest.mark.parametrize("model", ["H1", "H2"])
+def test_vote_confirms_with_divides_past_degree_q(model):
+    # q = 2, d = 3 = q + 1: a secant through q + 1 zeros need not divide.
+    # A secant times a conic through the other six points is a factor; a
+    # cubic through the points of a secant, L X^2 plus three other lines
+    # through them, is not one: the vote keeps L, and `divides` rejects it
+    q = 2
+    h = hermitian_model(q, model)
+    spec = h.field
+    lines, on = hermitian_secants(q, model)
+    pts = hermitian_points(q, model)
+    L = line_form(spec, int(lines[0]))
+    conic = next(c for c in exhaustive_negative_search(q, 2, model).achievers
+                 if intersection(h, L * c).count == 9)
+    through = []
+    for x, y, z in zip(*point_coords(spec.order, pts[on[0]])):
+        others = point_index(spec, *line_points(spec, x, y, z))
+        through.append(line_form(spec, int(next(i for i in others if i != lines[0]))))
+    control = L * TernaryForm(spec, 2, {(2, 0, 0): 1}) + reduce(mul, through)
+    got, want = _line_test(q, model, [L * conic, control])
+    assert [g[0] for g in got] == [w[0] for w in want] == [True, False]
+    assert int(lines[0]) in got[1][1] and not divides(L, control)
+
+
+@pytest.mark.parametrize("model", ["H1", "H2"])
+@pytest.mark.parametrize("q", [3, 4])
+def test_vote_finds_no_line_in_the_sporadic_cubics(q, model):
+    got, want = _line_test(q, model, [sporadic_cubic(q)])
+    assert got == want == [(False, [])]
+
+
+def _no_plane(*args):
+    raise AssertionError("a form was evaluated on the whole plane")
+
+
+def test_search_evaluates_no_form_off_the_hermitian_points(monkeypatch):
+    # d <= 3 needs no full-plane evaluation: the line test is the vote
+    monkeypatch.setattr(plane, "_plane_blocks", _no_plane)
+    rep = exhaustive_negative_search(3, 2)
+    assert rep.complete and rep.total_forms_scanned == 66430
+    assert len(rep.achievers) == len(rep.reducible_achievers) == 945
+
+
+def test_search_counts_irreducible_achievers_at_q4_d2(monkeypatch):
+    # irreducible conics meet H_4 in 10 points: each is re-measured by
+    # `intersection` and kept with no certificate on the whole plane; the
+    # reducible ones are secant pairs
+    monkeypatch.setattr(plane, "_plane_blocks", _no_plane)
+    rep = exhaustive_negative_search(4, 2)
+    assert rep.complete and rep.total_forms_scanned == projective_form_count(16, 6)
+    counts = tuple(map(len, (rep.achievers, rep.reducible_achievers, rep.irreducible_achievers)))
+    assert counts == (19968, 13728, 6240)

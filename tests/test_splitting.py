@@ -282,6 +282,22 @@ def test_survey_cap(monkeypatch):
                 survey_split(d, q_max)
 
 
+def test_survey_past_the_largest_extension_degree(monkeypatch):
+    # 2^17 is refused before the prime pass; a filter excluding 2 sweeps on
+    def no_prime_pass(*args):
+        raise AssertionError("the prime pass started")
+
+    monkeypatch.setattr(splitting, "_prime_runs", no_prime_pass)
+    monkeypatch.setattr(splitting, "_prime_fiber_hits", no_prime_pass)
+    message = "survey q_max 131072 sweeps 131072 = 2\\^17, past the largest extension degree 16"
+    for gcd_filter in (None, 3, 5):
+        with pytest.raises(ValueError, match=message):
+            survey_split(5, 1 << 17, gcd_filter=gcd_filter)
+    for gcd_filter in (2, 30):
+        with pytest.raises(AssertionError, match="the prime pass started"):
+            survey_split(6, 1 << 17, gcd_filter=gcd_filter)
+
+
 def test_sextic_survey_to_the_threshold():
     # serre_split_threshold(6) = 10766: past it every q with gcd(q, 30) = 1
     # has a splitting A, so these are all the q with N_6(q) = 0
