@@ -363,15 +363,15 @@ def test_construct_rejects_out_of_range_alpha(capsys):
             "survey q_max 16777217 exceeds the largest field order 16777216",
         ),
         (
-            ["survey", "--d", "6", "--q-max", "131072"],
-            "survey q_max 131072 sweeps 131072 = 2^17, past the largest extension degree 16",
-        ),
-        (
             ["thresholds", "--d", "5", "1000"],
             "d=1000 gives integers of more than 4300 digits, the limit for printing an integer",
         ),
         (["survey", "--d", "1", "--q-max", "1"], "need d >= 2"),
         (["survey", "--d", "1", "--q-max", "100"], "need d >= 2"),
+        (
+            ["survey", "--d", "6", "--q-max", "131072"],
+            "survey q_max 131072 sweeps 131072 = 2^17, past the largest extension degree 16",
+        ),
     ],
 )
 def test_unreadable_or_empty_input_is_usage_error(capsys, argv, message):
