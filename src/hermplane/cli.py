@@ -3,9 +3,8 @@
 Every command is deterministic: the same arguments always produce
 byte-identical output.  Exit codes: 0 success, 1 a verification that
 was asked for did not hold, 2 usage error or invalid parameters
-(including work refused as too large, such as a full-plane evaluation
-beyond q = 64 or a negative search over its scan budget) or out of
-memory, 130 interrupted (Ctrl-C).
+(including work refused as too large, such as a negative search over
+its scan budget) or out of memory, 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations

@@ -10,56 +10,53 @@ coordinate encodings, each term one exp gather in the log domain
 (`FieldSpec.monomial_v`).  A point is its index in the enumeration of
 P^2(F_{q^2}) as three charts, (x, y, 1) on a Q x Q grid, (x, 1, 0) and
 (1, 0, 0); `point_coords` maps indices back to these coordinates and
-`point_index` coordinates to indices.  Every point set (the points of a
-curve, the Hermitian points, an intersection, the points of a line) is an
-index array; only the CLI prints points (`serialize.format_points`).
-Large point sets are walked in blocks of about _CHUNK = 2^16 points, so
-the kernel's int64 temporaries stay near L2 size whatever q is: the plane
-(`_plane_blocks`, behind `evaluate_all`, `zero_mask` and the zero mask of
-`vanishing_lines`) by runs of whole rows of the grid with z the scalar 1,
-and the Hermitian points (`_hermitian_blocks`) by runs of rows of their
-fiber table.  A batch of forms (coefficient rows over one monomial list)
-is evaluated in the same walks, all rows per block; the Hermitian walk
-shortens its runs so that a run's values stay near _CHUNK entries.
+`point_index` coordinates to indices.  Every point set (the Hermitian
+points, an intersection, the points of a line) is an index array; only
+the CLI prints points (`serialize.format_points`).
 
 The Hermitian points are not found on the grid but read off one cached
 fiber table per model (`_Fibers`): h(x, y, 1) = a(x) + b(y), so they are
 the products a^-1(w) x b^-1(-w) of norm and trace fibers, stacked as rows,
 O(q^2) entries for q^3 points.  `_hermitian_blocks` evaluates forms on
-runs of rows, then on the points at infinity: two kernel calls for a
-small form.  Its two readers take a Hermitian model as their only first
-argument: `intersection` measures one form, and `intersection_counts`
-counts the zeros of each row of a batch, which is how the verification
-matrix checks the monomial fast count for every alpha of a (q, d) at
-once.  `hermitian_point_count` sums the fiber products; `hermitian_points`
-lists the points from the same table for `points_on` of a model,
+runs of rows of about _CHUNK = 2^16 points, so the kernel's int64
+temporaries stay near L2 size whatever q is, then on the points at
+infinity: two kernel calls for a small form.  A batch of forms
+(coefficient rows over one monomial list) is evaluated in the same walk,
+all rows per run, with runs shortened so that a run's values stay near
+_CHUNK entries.  Its two readers take a Hermitian model as their only
+first argument: `intersection` measures one form, and
+`intersection_counts` counts the zeros of each row of a batch, which is
+how the verification matrix checks the monomial fast count for every
+alpha of a (q, d) at once and the negative search re-measures its
+witnesses.  `hermitian_point_count` sums the fiber products;
+`hermitian_points` lists the points from the same table for
 `hermitian-points --emit-points` and the negative search, and
-`hermitian_secants` the lines through q+1 of them, for the search's
-line test.  The full plane
-(`evaluate_all`, `zero_mask`) serves every other form and is the
-independent count the verification matrix checks the point set against;
-it is refused beyond F_{64^2}.
+`hermitian_secants` the lines through q+1 of them, for the search's line
+test.
 
-The factor certificate has two parts.  A form whose three partials are
-nonzero single terms, powers of X, Y and Z up to order (H1, H2, the
-odd-half curves), vanish together only at 0, so the curve has no
-singular point over the algebraic closure; a nonsingular plane curve is
-absolutely irreducible, because two components would meet in a singular
-point.  Every other form goes to the Q^2+Q+1 lines of the plane.  Lines
-are the points of the dual plane: line i is aX + bY + cZ = 0 with
+Lines are the points of the dual plane: line i is aX + bY + cZ = 0 with
 (a, b, c) = `point_coords` of i, so points and lines share one
 enumeration, and `line_points` parametrizes a line as {A + tB : t in F_Q}
-and B.  A restriction to a line factors the way the form does: if f = gh
-then f|_L = g|_L h|_L.  So f has a linear factor only where it vanishes
-on a whole line.  `vanishing_lines` finds these lines by incidence votes:
-the line [a:b:c] passes through P exactly when (a, b, c) lies on the line
-with coefficients P, so each zero of f votes for the Q+1 points of its
-dual line, and a line vanishes where it has Q+1 votes; the work grows
-with the zeros, not with the Q^3 incidences of the plane.  When d <= Q a
-factor of degree k makes k a sum of degrees of irreducible factors of
-every squarefree restriction f|_L (read off by `unipoly.factor_degrees`).
-The degrees the lines cannot exclude are reported open: the certificate
-then decides nothing.
+and B.  The line [a:b:c] passes through P exactly when (a, b, c) lies on
+the line with coefficients P, so `lines_through` finds the lines through
+k of a set of points by letting each point vote for the Q+1 points of its
+dual line.
+
+The factor certificate serves achievers: curves of degree d that meet a
+Hermitian model H_q in d(q+1) rational points, as its intersection report
+shows.  A form whose three partials are nonzero single terms, powers of
+X, Y and Z up to order (H1, H2, the odd-half curves), vanish together
+only at 0, so the curve has no singular point over the algebraic
+closure; a nonsingular plane curve is absolutely irreducible, because
+two components would meet in a singular point.  Every other achiever
+goes to the lines.  By Bezout a line factor of an achiever is a secant
+of H_q whose q+1 points are all common points (`lines_through` on the
+report's points), and `line_factors` decides which of these divide it.
+A restriction to a line factors the way the form does: if f = gh then
+f|_L = g|_L h|_L, so a factor of degree k makes k a sum of degrees of
+irreducible factors of every squarefree restriction f|_L (read off by
+`unipoly.factor_degrees`).  The degrees the lines cannot exclude are
+reported open: the certificate then decides nothing.
 """
 
 from __future__ import annotations
@@ -74,13 +71,10 @@ import numpy as np
 from .field import FieldError, FieldSpec, ambient
 from .unipoly import UniPoly, factor_degrees, is_squarefree
 
-# largest field whose plane `evaluate_all` builds: F_{64^2}, 16.8 M points
-_MAX_PLANE_ORDER = 4096
-
 # points per block when a form is evaluated on a point set: a block's int64
 # arrays are 0.5 MiB, and the few a term holds fit a 4 MiB L2 cache.  Of
 # 2^12 .. 2^17, 2^15 and 2^16 evaluated the q = 64 Hermitian points
-# fastest, and 2^16 the q = 64 plane
+# fastest
 _CHUNK = 1 << 16
 
 # restrictions interpolated per kernel call while walking the lines
@@ -215,7 +209,7 @@ class TernaryForm:
 def point_coords(Q: int, idx):
     """Coordinate arrays (X, Y, Z) of the idx-th points of the canonical
     enumeration over F_Q, as the chart representatives (x, y, 1), (x, 1, 0)
-    and (1, 0, 0) that `evaluate_all` uses."""
+    and (1, 0, 0)."""
     idx = np.asarray(idx, dtype=np.int64)
     affine = idx < Q * Q
     line = ~affine & (idx < Q * Q + Q)
@@ -255,72 +249,6 @@ def form_values(spec: FieldSpec, coeffs, monos, X, Y, Z) -> np.ndarray:
         if not any(z and e for z, e in zip(zero, m)):
             spec.add_v(acc, spec.monomial_v(c, zip(points, m)), out=acc)
     return acc
-
-
-def _plane_size(Q: int) -> int:
-    """The number of points of P^2(F_Q); a ValueError beyond F_4096 (q = 64),
-    where the Q x Q grid over F_{128^2} alone is 2 GiB per int64 array."""
-    if Q > _MAX_PLANE_ORDER:
-        q = isqrt(Q)
-        name = f"F_{Q} (q = {q})" if q * q == Q else f"F_{Q}"
-        raise ValueError(
-            f"refusing to evaluate a form at all {Q * Q + Q + 1} points of the "
-            f"plane over {name}: full-plane evaluation stops at F_{_MAX_PLANE_ORDER} (q = 64)"
-        )
-    return Q * Q + Q + 1
-
-
-def _plane_blocks(spec: FieldSpec, coeffs, monos):
-    """(block, values) for consecutive blocks of the canonical enumeration:
-    `block` is a slice of point indices, and values[..., i] the value at
-    point block.start + i.
-
-    The chart (x, y, 1) goes by floor(_CHUNK / Q) rows of x at a time, with z
-    the scalar 1, then (x, 1, 0) and (1, 0, 0).  `coeffs` is as for
-    `form_values`, with rows that broadcast against a (rows, Q) grid.
-    """
-    Q = spec.order
-    xs = np.arange(Q, dtype=np.int64)
-    rows = max(1, _CHUNK // Q)
-    grid = [(xs[x0 : x0 + rows, None], xs, 1) for x0 in range(0, Q, rows)]
-    start = 0
-    for pt in grid + [(xs, 1, 0), (1, 0, 0)]:
-        v = form_values(spec, coeffs, monos, *pt)
-        v = v.reshape(v.shape[:-2] + (-1,))
-        yield slice(start, start + v.shape[-1]), v
-        start += v.shape[-1]
-
-
-def evaluate_all(f: TernaryForm) -> np.ndarray:
-    """Values of f at every point of P^2, in canonical enumeration order.
-
-    Refused with a ValueError, before anything is allocated, over fields
-    larger than F_4096 (q = 64).
-    """
-    out = np.empty(_plane_size(f.field.order), dtype=np.int64)
-    for block, values in _plane_blocks(f.field, tuple(f.terms.values()), tuple(f.terms)):
-        out[block] = values
-    return out
-
-
-def zero_mask(f: TernaryForm) -> np.ndarray:
-    """The points of P^2 where f vanishes, as `evaluate_all(f) == 0`."""
-    out = np.empty(_plane_size(f.field.order), dtype=bool)
-    for block, values in _plane_blocks(f.field, tuple(f.terms.values()), tuple(f.terms)):
-        np.equal(values, 0, out=out[block])
-    return out
-
-
-def points_on(f: TernaryForm) -> np.ndarray:
-    """Enumeration indices of the F_{q^2}-rational points of f = 0, ascending.
-
-    A Hermitian model reads its cached point set; any other form is
-    evaluated on the whole plane.
-    """
-    variant = _hermitian_variant(f)
-    if variant is not None:
-        return hermitian_points(isqrt(f.field.order), variant)
-    return np.flatnonzero(zero_mask(f))
 
 
 # ---------------------------------------------------------------------------
@@ -426,8 +354,8 @@ def hermitian_point_count(q: int, variant: str = "H1") -> int:
 def hermitian_points(q: int, variant: str = "H1") -> np.ndarray:
     """Enumeration indices of the q^3+1 rational points of a Hermitian model.
 
-    Ascending and read-only; the same set as ``np.flatnonzero(zero_mask(h))``
-    in O(q^3) work instead of O(q^4), so it also serves q > 64.
+    Ascending and read-only; O(q^3) work, where a scan of the plane is
+    O(q^4).
     """
     fib = _hermitian_fibers(q, variant)
     Q = q * q
@@ -448,17 +376,10 @@ def hermitian_secants(q: int, variant: str = "H1") -> tuple[np.ndarray, np.ndarr
     ascending, and on[s] the positions in `hermitian_points` of the q+1
     points of secant s, ascending; both read-only.
 
-    A line meets the model in 1 or q+1 rational points.  The lines through
-    each point are the points of its dual line, as in `vanishing_lines`,
-    and the secants are the lines listed q+1 times.
+    A line meets the model in 1 or q+1 rational points, so the secants
+    are the lines through q+1 of them (`lines_through`).
     """
-    spec = ambient(q)
-    points = point_coords(spec.order, hermitian_points(q, variant))
-    through = point_index(spec, *line_points(spec, *points))
-    lines, count = np.unique(through, return_counts=True)
-    lines = lines[count == q + 1]
-    point, col = np.nonzero(np.isin(through, lines))
-    on = point[np.argsort(through[point, col], kind="stable")].reshape(-1, q + 1)
+    lines, on = lines_through(ambient(q), hermitian_points(q, variant), q + 1)
     lines.flags.writeable = on.flags.writeable = False
     return lines, on
 
@@ -532,7 +453,9 @@ def intersection_counts(h: TernaryForm, monos, batch) -> np.ndarray:
     fib = _fibers_of(h)
     batch = np.asarray(batch, dtype=np.int64).reshape(len(batch), len(monos))
     counts = np.zeros(len(batch), dtype=np.int64)
-    size = max(1, _CHUNK // max(1, len(batch)))
+    if not len(batch):
+        return counts
+    size = max(1, _CHUNK // len(batch))
     coeffs = batch.T[:, :, None, None, None]
     for rows, values in _hermitian_blocks(fib, h.field, coeffs, monos, size):
         zero = values == 0
@@ -543,7 +466,7 @@ def intersection_counts(h: TernaryForm, monos, batch) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# derivatives and singular points
+# derivatives
 # ---------------------------------------------------------------------------
 
 def partials(f: TernaryForm) -> tuple[TernaryForm, TernaryForm, TernaryForm]:
@@ -561,14 +484,6 @@ def partials(f: TernaryForm) -> tuple[TernaryForm, TernaryForm, TernaryForm]:
                 terms[tuple(m)] = v
         out.append(TernaryForm(K, max(f.degree - 1, 0), terms))
     return tuple(out)
-
-
-def has_smooth_rational_point(f: TernaryForm) -> bool:
-    """True iff some F_{q^2}-rational point of f is nonsingular."""
-    on_curve = zero_mask(f)
-    fx, fy, fz = partials(f)
-    smooth = on_curve & ~(zero_mask(fx) & zero_mask(fy) & zero_mask(fz))
-    return bool(smooth.any())
 
 
 # ---------------------------------------------------------------------------
@@ -601,13 +516,14 @@ def divides(g: TernaryForm, f: TernaryForm) -> bool:
 
 @dataclass
 class ReducibilityResult:
-    """The outcome of `reducibility_search`: "factor" with a linear factor,
-    "irreducible" when the lines exclude every degree 1 .. d/2, or "open"
-    with the factor degrees they leave open, which decides nothing."""
+    """The outcome of `reducibility_search`: "factor" with the index of a
+    line that divides the form, "irreducible" when the lines exclude every
+    degree 1 .. d/2, or "open" with the factor degrees they leave open,
+    which decides nothing."""
 
     status: str  # "irreducible" | "factor" | "open"
-    factor: TernaryForm | None = None
-    scanned: int = 0  # candidate factors tested: every line of the plane
+    line: int | None = None
+    scanned: int = 0  # candidate line factors tested
     open: tuple[int, ...] = ()  # factor degrees no line restriction excludes
 
 
@@ -657,37 +573,37 @@ def line_form(spec: FieldSpec, i: int) -> TernaryForm:
     return TernaryForm(spec, 1, dict(zip(monomials(1), coeffs)))
 
 
-def vanishing_lines(spec: FieldSpec, monos, batch) -> np.ndarray:
-    """(len(batch), Q^2+Q+1) mask: form r vanishes at every point of line l.
+def lines_through(spec: FieldSpec, points, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(lines, on): the lines through exactly k of the points `points`
+    (enumeration indices), ascending, and on[s] the positions in `points`
+    of the k points of line s, ascending.
 
-    `batch` holds coefficient rows over `monos`.  Each form is evaluated
-    once at every point of the plane, block by block (`_plane_blocks`).
-    The line [a:b:c] passes through P exactly when (a, b, c) lies on the
-    line with coefficients P, so the lines through a zero are the points of
-    its dual line (`point_index` of `line_points`).  Each (form, zero) pair
-    votes for its Q+1 lines, and a line vanishes where it has Q+1 votes.
-    The pairs go in groups of at most _CHUNK / (4(Q+1)), zero by zero, and
-    a group lists the lines of its own zeros only: its line table and its
-    votes have at most _CHUNK / 4 entries, a quarter block, since listing
-    the lines holds about eight arrays of that size.
+    The lines through a point P are the points of its dual line, the line
+    with coefficients P (`point_index` of `line_points`): each point votes
+    for its Q+1 lines, and the lines with k votes are kept.
     """
-    batch = np.asarray(batch, dtype=np.int64)
+    through = point_index(spec, *line_points(spec, *point_coords(spec.order, points)))
+    lines, votes = np.unique(through, return_counts=True)
+    lines = lines[votes == k]
+    point, col = np.nonzero(np.isin(through, lines))
+    on = point[np.argsort(through[point, col], kind="stable")].reshape(-1, k)
+    return lines, on
+
+
+def line_factors(f: TernaryForm, lines) -> np.ndarray:
+    """The lines among `lines` that divide f, where each of `lines` holds
+    q+1 zeros of f, Q = q^2 and f has degree d < Q.
+
+    When d <= q, f|_L has more zeros than its degree, so it vanishes and L
+    divides f.  Otherwise L divides f exactly when f vanishes at its Q+1
+    points, as Q + 1 > d: one `form_values` call on `line_points`.
+    """
+    spec, lines = f.field, np.asarray(lines, dtype=np.int64)
     Q = spec.order
-    n = line_count(Q)  # the plane has as many points as lines
-    zero = np.empty((len(batch), n), dtype=bool)
-    for block, values in _plane_blocks(spec, batch.T[:, :, None, None], monos):
-        np.equal(values, 0, out=zero[:, block])
-    # (zero, form) pairs, zero-major: a run of pairs covers a run of zeros
-    points, forms = np.nonzero(zero.T)
-    zeros, which = np.unique(points, return_inverse=True)
-    row = forms * n  # start of each pair's form row in the flat counts
-    counts = np.zeros(zero.size, dtype=np.int64)
-    step = max(1, _CHUNK // (4 * (Q + 1)))
-    for i in range(0, len(which), step):
-        w = which[i : i + step]
-        lines = point_index(spec, *line_points(spec, *point_coords(Q, zeros[w[0] : w[-1] + 1])))
-        np.add.at(counts, (row[i : i + step, None] + lines[w - w[0]]).reshape(-1), 1)
-    return counts.reshape(zero.shape) == Q + 1
+    if f.degree <= isqrt(Q) or not len(lines):
+        return lines
+    coords = line_points(spec, *point_coords(Q, lines))
+    return lines[~form_values(spec, tuple(f.terms.values()), tuple(f.terms), *coords).any(axis=-1)]
 
 
 def _restrictions(f: TernaryForm, idx) -> np.ndarray:
@@ -725,6 +641,8 @@ def _line_surviving_degrees(f: TernaryForm, levels) -> list[int]:
     """
     spec, d = f.field, f.degree
     survivors = set(levels)
+    if not survivors:
+        return []
     stall = 0
     order = np.argsort(np.arange(line_count(spec.order)) * 0.6180339887498949 % 1, kind="stable")
     for lo in range(0, len(order), _LINE_BATCH):
@@ -748,34 +666,29 @@ def _line_surviving_degrees(f: TernaryForm, levels) -> list[int]:
     return sorted(survivors)
 
 
-def reducibility_search(f: TernaryForm) -> ReducibilityResult:
+def reducibility_search(f: TernaryForm, lines) -> ReducibilityResult:
     """Certify that f has no factor of degree 1 .. d/2, or return a linear one.
 
-    Linear factors are the lines on which f vanishes: for d <= Q such a
-    line divides f, for d > Q each is confirmed with `divides`.  For
-    d <= Q, line restrictions exclude factor degrees 2 .. d/2; the degrees
-    they leave open, all of 2 .. d/2 when d > Q, are reported as "open".
-    A line has no proper factor: it is irreducible, though it vanishes on
-    a whole line.
+    `lines` are the candidate line factors: each holds q+1 zeros of f,
+    every line factor of f is among them, and d < Q = q^2; for an achiever
+    they are the secants whose q+1 Hermitian points are all zeros of it
+    (see `absolute_irreducibility_status`).  `line_factors` decides which
+    divide f, and line restrictions exclude the factor degrees 2 .. d/2;
+    the degrees they leave open are reported as "open".  A line has no
+    proper factor: it is irreducible, though it holds its own points.
     """
     if f.degree < 1:
         raise ValueError("factor search needs degree >= 1")
-    spec, d = f.field, f.degree
-    Q = spec.order
+    d = f.degree
     if d == 1:
         return ReducibilityResult("irreducible")
-    row = [tuple(f.terms.values())]
-    scanned = line_count(Q)
-    for i in np.nonzero(vanishing_lines(spec, tuple(f.terms), row)[0])[0]:
-        g = line_form(spec, int(i))
-        if d <= Q or divides(g, f):
-            return ReducibilityResult("factor", g, scanned)
-    levels = range(2, d // 2 + 1)
-    if d <= Q:
-        levels = _line_surviving_degrees(f, levels)
+    factors = line_factors(f, lines)
+    if len(factors):
+        return ReducibilityResult("factor", int(factors[0]), len(lines))
+    levels = _line_surviving_degrees(f, range(2, d // 2 + 1))
     if levels:
-        return ReducibilityResult("open", None, scanned, tuple(levels))
-    return ReducibilityResult("irreducible", None, scanned)
+        return ReducibilityResult("open", None, len(lines), tuple(levels))
+    return ReducibilityResult("irreducible", None, len(lines))
 
 
 def _partials_vanish_only_at_zero(f: TernaryForm) -> bool:
@@ -786,26 +699,45 @@ def _partials_vanish_only_at_zero(f: TernaryForm) -> bool:
     return all(len(g.terms) == 1 for g in grad) and {m for g in grad for m in g.terms} == pure
 
 
-def absolute_irreducibility_status(f: TernaryForm) -> IrreducibilityStatus:
-    """Certify absolute irreducibility.
+def absolute_irreducibility_status(f: TernaryForm, report: IntersectionReport) -> IrreducibilityStatus:
+    """Certify that an achiever f is absolutely irreducible.
+
+    `report` is the intersection of f with a Hermitian model H_q, and f
+    must be an achiever: report.count = d(q+1) for d = deg f, else a
+    ValueError.  Then d(q+1) <= q^3 + 1, so d <= q^2 - q + 1 < Q.
 
     Partials that vanish together only at 0 (`_partials_vanish_only_at_zero`)
     leave f no singular point over the algebraic closure, and a nonsingular
     plane curve is absolutely irreducible: two components would meet in a
-    singular point.  Otherwise, irreducible over F_{q^2} plus one
-    nonsingular rational point certifies absolute irreducibility: a
-    geometrically reducible but rationally irreducible form has all its
-    rational points on >= 2 conjugate components, hence singular.
+    singular point.  This certifies f = H_q (an achiever at q = 2).
+
+    Otherwise the lines decide (`reducibility_search`), by Bezout.  If
+    f = L g and g shares no component with H_q, g meets H_q in at most
+    (d-1)(q+1) points, so L holds q+1 of the d(q+1) common points: a line
+    factor is a secant through q+1 points of the report (`lines_through`).
+    If h divides f and f is not h, all q^3 + 1 points are common, so
+    d = q^2 - q + 1 with q >= 3, and f has factors of degrees q+1 and
+    q^2 - 2q, one of them in 2 .. d/2, which the lines never exclude: such
+    an f is never certified.  An f that the lines leave irreducible over
+    F_{q^2} shares no component with H_q, so its d(q+1) common points use
+    up Bezout's bound: each has intersection multiplicity 1 and is a
+    smooth point of f.  A form that is irreducible over F_{q^2} but not
+    absolutely has all its rational points on >= 2 conjugate components,
+    hence singular: so f is absolutely irreducible.
     """
+    d, q = f.degree, report.q
+    if report.d != d or report.count != d * (q + 1) or q * q != f.field.order:
+        raise ValueError(
+            f"not an achiever: a report of degree {report.d} with {report.count} points "
+            f"on H_{q} for a degree-{d} curve over F_{f.field.order}"
+        )
     if _partials_vanish_only_at_zero(f):
         return IrreducibilityStatus("absolutely-irreducible")
-    res = reducibility_search(f)
+    res = reducibility_search(f, lines_through(f.field, report.points, q + 1)[0])
     if res.status == "factor":
-        return IrreducibilityStatus("reducible", res.factor)
+        return IrreducibilityStatus("reducible", line_form(f.field, res.line))
     if res.status == "open":
         label = "degree" if len(res.open) == 1 else "degrees"
         degrees = ", ".join(map(str, res.open))
         return IrreducibilityStatus("undetermined", reason=f"lines left {label} {degrees} open")
-    if has_smooth_rational_point(f):
-        return IrreducibilityStatus("absolutely-irreducible")
-    return IrreducibilityStatus("undetermined", reason="no smooth rational point found")
+    return IrreducibilityStatus("absolutely-irreducible")

@@ -18,21 +18,20 @@ Form indices are int64; a space past int64 is refused before the scan,
 so every place value Q^k the scan decodes fits.
 
 An achiever, rebuilt from its index, that shares no component with the
-Hermitian model is classified by its line factors, which the Hermitian
-points alone decide.  A line meets H_q in 1 or q+1 rational points, and
-for d >= 2 a line factor L of an achiever f = L g holds at least q+1
+Hermitian model is classified by `plane.reducibility_search`, the rule
+the factor certificate uses, with its line factors decided on the
+Hermitian points alone.  A line meets H_q in 1 or q+1 rational points,
+and for d >= 2 a line factor L of an achiever f = L g holds at least q+1
 of its d(q+1) zeros, since g meets H_q in at most (d-1)(q+1) by Bezout:
 L is a secant whose q+1 points are all zeros of f.  The secant vote
 (`_full_secants`) finds these secants for all achievers at once from
 their values at the Hermitian points, sums of the rows of the scan's
-term table, and evaluates no form off H_q.  Such a secant divides f
-when d <= q, as f|_L then has more zeros than its degree; for d > q it
-is confirmed with `divides`.  An achiever with no line factor and
-d <= 3 is irreducible, since any factorization of a form of degree at
-most 3 has a linear factor; only d >= 4 goes through the factor
-certificate `reducibility_search`.  An achiever the certificate leaves
-open is in neither class, and an irreducible one is accepted only after
-`intersection` re-measures it to d(q+1).
+term table, and `plane.line_factors` keeps those that divide f.  The
+line restrictions then exclude the factor degrees 2 .. d/2, none when
+d <= 3, so a conic or cubic with no line factor is irreducible.  An
+achiever the lines leave open is in neither class, and the irreducible
+ones are accepted only after `intersection_counts` re-measures them, all
+in one batch, to d(q+1).
 """
 
 from __future__ import annotations
@@ -49,8 +48,7 @@ from .plane import (
     hermitian_model,
     hermitian_points,
     hermitian_secants,
-    intersection,
-    line_form,
+    intersection_counts,
     monomials,
     point_coords,
     reducibility_search,
@@ -197,15 +195,6 @@ def _full_secants(spec: FieldSpec, on, monos, batch, points) -> np.ndarray:
     return full
 
 
-def _has_line_factor(form: TernaryForm, q: int, secants) -> bool:
-    """Whether an achiever of degree d >= 2 has one of the lines `secants`,
-    those whose q+1 Hermitian points are all zeros of it, as a factor:
-    any one when d <= q, else one that `divides` confirms.  A line has none.
-    """
-    d = form.degree
-    return d > 1 and any(d <= q or divides(line_form(form.field, int(i)), form) for i in secants)
-
-
 def _shares_hermitian_component(form: TernaryForm, h: TernaryForm) -> bool:
     if form.degree == h.degree:
         return form == h
@@ -253,17 +242,15 @@ def exhaustive_negative_search(
         report.total_forms_scanned += len(hits)
         rows.append(_coeff_rows(Q, M, lead, offset + np.flatnonzero(hits == target)))
     batch = np.concatenate(rows)
+    kept = []  # (form, status, coefficient row) of the achievers, in scan order
     for coeffs, full in zip(batch.tolist(), _full_secants(spec, on, mons, batch, points)):
         form = TernaryForm(spec, d, {m: c for m, c in zip(mons, coeffs) if c})
-        if _shares_hermitian_component(form, h):
-            continue
-        if _has_line_factor(form, q, lines[full]):
-            status = "factor"
-        elif d <= 3:
-            status = "irreducible"  # a reducible form of degree <= 3 has a line factor
-        else:
-            status = reducibility_search(form).status
-        if status == "irreducible" and intersection(h, form).count != target:
+        if not _shares_hermitian_component(form, h):
+            kept.append((form, reducibility_search(form, lines[full]).status, coeffs))
+    witnesses = [coeffs for _, status, coeffs in kept if status == "irreducible"]
+    counts = iter(intersection_counts(h, mons, witnesses).tolist())
+    for form, status, _ in kept:
+        if status == "irreducible" and next(counts) != target:
             continue  # not the form that was counted: no witness
         report.achievers.append(form)
         if status == "irreducible":

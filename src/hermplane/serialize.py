@@ -32,8 +32,11 @@ def format_points(spec: FieldSpec, idx) -> list[str]:
     the inverse of its first nonzero coordinate."""
     X, Y, Z = point_coords(spec.order, idx)
     inv = spec.pow_v(np.where(X != 0, X, np.where(Y != 0, Y, Z)), -1)
-    coords = zip(*(spec.mul_v(v, inv).tolist() for v in (X, Y, Z)))
-    return ["[" + ":".join(format_element(spec, v) for v in xyz) + "]" for xyz in coords]
+    coords = np.stack([spec.mul_v(v, inv) for v in (X, Y, Z)], axis=-1)
+    # each distinct coordinate is formatted once
+    values, at = np.unique(coords, return_inverse=True)
+    text = [format_element(spec, v) for v in values.tolist()]
+    return ["[" + ":".join(text[i] for i in xyz) + "]" for xyz in at.reshape(-1, 3).tolist()]
 
 
 def _is_int(x) -> bool:

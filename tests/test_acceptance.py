@@ -72,17 +72,21 @@ def test_exhaustive_negative_searches():
 
 def test_undecided_achievers_break_the_negative(monkeypatch):
     # achievers not proved reducible break the negative: with the secant
-    # vote hiding every line factor and the certificate left open, the
-    # d <= 3 achievers pass as irreducible and none is ruled out
+    # vote hiding every line factor, the d <= 3 achievers pass as
+    # irreducible witnesses; with the line test left open as well, they
+    # are in neither class.  Either way none is ruled out
     monkeypatch.setattr(
         search,
         "_full_secants",
         lambda spec, on, monos, batch, points: np.zeros((len(batch), len(on)), bool),
     )
+    records = reproduce.check_negative_searches()
+    assert [r["pass"] for r in records] == [False] * 3
+    assert all(r["observed"][1] > 0 for r in records)
     monkeypatch.setattr(
         search,
         "reducibility_search",
-        lambda form: ReducibilityResult("open", open=(2,)),
+        lambda form, lines: ReducibilityResult("open", open=(2,)),
     )
     records = reproduce.check_negative_searches()
     assert [r["pass"] for r in records] == [False] * 3
@@ -106,12 +110,12 @@ def test_secant_fan():
 
 
 # 9. full-point curve: all q^3+1 Hermitian points for q in {3,4,5};
-#    the q=2 outcome is recorded without assertion
+#    at q=2 the 9 points of a reducible cubic, as the (2,3) search says
 def test_full_point_curve():
     records = _run(reproduce.check_full_point_curve, 30)
     _assert_all_pass(records)
-    q2 = [r for r in records if r["claim_id"] == "full-point-curve-q2-report"]
-    assert len(q2) == 1  # recorded, whatever its count
+    q2 = [r for r in records if r["claim_id"] == "full-point-curve-q2"]
+    assert [r["observed"] for r in q2] == [(9, "reducible")]
 
 
 # 10. degree-q curve: q(q+1) for q in {3,4,5,7}

@@ -9,7 +9,7 @@ import pytest
 
 from hermplane import cli
 from hermplane.cli import main
-from hermplane.plane import hermitian_model, zero_mask
+from hermplane.plane import hermitian_model
 from hermplane.search import SearchReport
 from hermplane.serialize import format_element, load_curve
 
@@ -111,9 +111,8 @@ def _raising(exc):
     [
         (_raising(MemoryError("Unable to allocate 2.00 GiB")), 2, "error: out of memory"),
         (_raising(KeyboardInterrupt()), 130, "error: interrupted"),
-        (lambda args: zero_mask(hermitian_model(128)), 2, "full-plane evaluation stops"),
     ],
-    ids=["memory", "interrupt", "full-plane"],
+    ids=["memory", "interrupt"],
 )
 def test_exit_codes_for_exhaustion(capsys, monkeypatch, fn, code, message):
     monkeypatch.setattr(cli, "cmd_hermitian_points", fn)

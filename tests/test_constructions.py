@@ -21,9 +21,11 @@ from hermplane.field import subfield_elements
 from hermplane.plane import (
     absolute_irreducibility_status,
     hermitian_model,
+    hermitian_points,
     intersection,
-    points_on,
 )
+
+from brute_force import zero_points
 
 
 def _count(q, model, form):
@@ -50,9 +52,8 @@ def test_full_point_curve_contains_all_hermitian_points():
     for q in (2, 3, 4):
         f = full_point_curve(q)
         assert f.degree == q * q - q + 1
-        h = hermitian_model(q, "H1")
-        herm = set(points_on(h).tolist())
-        ours = set(points_on(f).tolist())
+        herm = set(hermitian_points(q, "H1").tolist())
+        ours = set(zero_points(f).tolist())
         assert herm <= ours
         assert _count(q, "H1", f) == q**3 + 1
 
@@ -129,8 +130,9 @@ def test_monomial_fast_count_rejects_degree_below_two():
 def test_sporadic_cubics():
     for q in (3, 4, 5, 7):
         f = sporadic_cubic(q)
-        assert _count(q, "H2", f) == 3 * (q + 1)
-        assert absolute_irreducibility_status(f).status == "absolutely-irreducible"
+        rep = intersection(hermitian_model(q, "H2"), f)
+        assert rep.count == 3 * (q + 1)
+        assert absolute_irreducibility_status(f, rep).status == "absolutely-irreducible"
 
 
 def test_sporadic_quartics():
@@ -177,4 +179,5 @@ def test_build_covers_all_families():
 def test_degree_q_curve_is_absolutely_irreducible():
     for q in (4, 5, 7, 9):
         f = degree_q_curve(q)
-        assert absolute_irreducibility_status(f).status == "absolutely-irreducible"
+        rep = intersection(hermitian_model(q, "H1"), f)
+        assert absolute_irreducibility_status(f, rep).status == "absolutely-irreducible"

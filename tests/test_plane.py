@@ -1,18 +1,15 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hermplane import plane
+from hermplane.constructions import secant_fan_curve, sporadic_cubic
 from hermplane.field import FieldError, field_of_order
 from hermplane.plane import (
     TernaryForm,
     absolute_irreducibility_status,
     divides,
-    evaluate_all,
     form_values,
-    has_smooth_rational_point,
     hermitian_model,
     hermitian_point_count,
     hermitian_points,
@@ -25,11 +22,11 @@ from hermplane.plane import (
     partials,
     point_coords,
     point_index,
-    points_on,
     reducibility_search,
-    vanishing_lines,
-    zero_mask,
 )
+
+from brute_force import evaluate_all, zero_points
+from test_factor_certificate import _candidates, _secant_product, _xyz
 
 
 # scalar references for the vectorized kernel: point enumeration,
@@ -167,13 +164,6 @@ def test_zero_form_evaluates_to_zero():
             assert not values.any()
 
 
-def test_inseparable_power_has_no_smooth_point():
-    # all partials of Y^p vanish in characteristic p, so no point is smooth
-    for p in (2, 3):
-        spec = field_of_order(p * p)
-        assert not has_smooth_rational_point(TernaryForm(spec, p, {(0, p, 0): 1}))
-
-
 def test_form_arithmetic():
     spec = field_of_order(9)
     x = TernaryForm(spec, 1, {(1, 0, 0): 1})
@@ -226,14 +216,14 @@ def test_projective_equality_matches_canonical_terms():
 def test_hermitian_models_have_q_cubed_plus_one_points():
     for q in (2, 3, 4, 5):
         for model in ("H1", "H2"):
-            assert len(points_on(hermitian_model(q, model))) == q**3 + 1
+            assert len(hermitian_points(q, model)) == q**3 + 1
 
 
 @pytest.mark.parametrize("model", ["H1", "H2"])
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 11, 13, 16])
 def test_hermitian_points_match_full_plane(q, model):
     idx = hermitian_points(q, model)
-    want = np.nonzero(zero_mask(hermitian_model(q, model)))[0]
+    want = zero_points(hermitian_model(q, model))
     assert idx.dtype == want.dtype
     assert idx.tolist() == want.tolist()
     assert not idx.flags.writeable
@@ -243,7 +233,7 @@ def test_hermitian_points_match_full_plane(q, model):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_fiber_table_count_matches_listing_and_full_plane(q, model):
     # the summed fiber products, the x-major listing and the full plane
-    n = np.count_nonzero(zero_mask(hermitian_model(q, model)))
+    n = len(zero_points(hermitian_model(q, model)))
     assert hermitian_point_count(q, model) == len(hermitian_points(q, model)) == n
 
 
@@ -262,10 +252,10 @@ def test_fiber_walk_matches_full_plane_on_the_axes(q, model):
         for _ in range(3):
             g = _random_form(rng, spec, d)
             forms += [g, X * g, Y * g]
-    on_h = zero_mask(h)
+    on_h = zero_points(h)
     by_degree = {}
     for f in forms:
-        want = np.flatnonzero(on_h & zero_mask(f))
+        want = np.intersect1d(on_h, zero_points(f))
         assert intersection(h, f).points.tolist() == want.tolist()
         by_degree.setdefault(f.degree, []).append((f, len(want)))
     for d, pairs in by_degree.items():
@@ -293,7 +283,7 @@ def _hermitian_and_form(draw):
 @settings(max_examples=60, deadline=None)
 def test_intersection_on_hermitian_points_matches_full_plane(case):
     h, f = case
-    want = np.nonzero(zero_mask(h) & zero_mask(f))[0].tolist()
+    want = np.intersect1d(zero_points(h), zero_points(f)).tolist()
     rep = intersection(h, f)
     assert rep.count == len(want)
     assert rep.points.tolist() == want
@@ -330,29 +320,24 @@ def test_intersection_counts_match_single_intersections(case):
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
 def test_blocks_smaller_than_a_row_change_nothing(monkeypatch, q, model):
     # a block of 7 points: intersections walk one fiber row at a time, as
-    # does a batch of 10 forms, the plane walks one row of x at a time, and
-    # the line listing takes one zero per group
+    # does a batch of 10 forms
     rng = np.random.default_rng(q)
     h = hermitian_model(q, model)
     spec = h.field
     forms = [h, hermitian_model(q, "H2" if model == "H1" else "H1"), TernaryForm(spec, 1, {(0, 0, 1): 1})]
     forms += [_random_form(rng, spec, d) for d in (0, 1, 2, 3, 3, 4)]
-    on_h = zero_mask(h)
-    want = [(np.flatnonzero(on_h & zero_mask(f)), evaluate_all(f)) for f in forms]
+    on_h = zero_points(h)
+    want = [np.intersect1d(on_h, zero_points(f)) for f in forms]
     batch = [[f.terms.get(m, 0) for m in monomials(3)] for f in forms if f.degree == 3]
-    lines = vanishing_lines(spec, monomials(3), batch)
     cubics = batch + rng.integers(0, spec.order, (8, 10)).tolist()
     cubic_forms = (TernaryForm(spec, 3, dict(zip(monomials(3), row))) for row in cubics)
-    counts = [np.count_nonzero(on_h & zero_mask(f)) for f in cubic_forms]
+    counts = [len(np.intersect1d(on_h, zero_points(f))) for f in cubic_forms]
     monkeypatch.setattr(plane, "_CHUNK", 7)
     assert intersection_counts(h, monomials(3), cubics).tolist() == counts
-    for f, (idx, values) in zip(forms, want):
+    for f, idx in zip(forms, want):
         rep = intersection(h, f)
         assert rep.count == len(idx)
         assert rep.points.tolist() == idx.tolist()
-        assert np.array_equal(evaluate_all(f), values)
-        assert np.array_equal(zero_mask(f), values == 0)
-    assert np.array_equal(vanishing_lines(spec, monomials(3), batch), lines)
 
 
 def test_intersection_needs_a_hermitian_model_first():
@@ -364,22 +349,10 @@ def test_intersection_needs_a_hermitian_model_first():
         intersection(h, TernaryForm(field_of_order(4), 1, {(1, 0, 0): 1}))
 
 
-def test_full_plane_refused_beyond_q64():
-    h = hermitian_model(128, "H1")  # builds F_{128^2} outside the measurement
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match=r"q = 128"):
-            zero_mask(h)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2**20
-
-
 def test_hermitian_is_nonsingular():
     for q in (2, 3, 4):
         h = hermitian_model(q, "H1")
-        for xyz in coordinate_triples(h.field.order, points_on(h)):
+        for xyz in coordinate_triples(h.field.order, hermitian_points(q, "H1")):
             assert not is_singular_point(h, xyz)
 
 
@@ -456,33 +429,49 @@ def test_divides_detects_linear_factor():
 
 
 def test_reducibility_search_finds_factor():
-    spec = field_of_order(9)
-    x = TernaryForm(spec, 1, {(1, 0, 0): 1})
-    y = TernaryForm(spec, 1, {(0, 1, 0): 1})
-    z = TernaryForm(spec, 1, {(0, 0, 1): 1})
-    f = (x + y) * (x + z) * (y + z)
-    res = reducibility_search(f)
+    # three secants of H2 over F_9 with disjoint points: an achiever
+    q = 3
+    f = _secant_product(q, "H2", 3, np.random.default_rng(1))
+    rep = intersection(hermitian_model(q, "H2"), f)
+    assert rep.count == 3 * (q + 1)
+    res = reducibility_search(f, _candidates(f, rep))
     assert res.status == "factor"
-    assert res.factor is not None and divides(res.factor, f)
+    assert res.line is not None and divides(line_form(f.field, res.line), f)
 
 
 def test_reducibility_search_certifies_irreducible_conic():
-    spec = field_of_order(9)
-    f = TernaryForm(spec, 2, {(2, 0, 0): 1, (0, 1, 1): spec.neg(1)})
-    assert reducibility_search(f).status == "irreducible"
+    # X^2 + YZ meets H2 over F_16 in 10 points: the first irreducible
+    # achiever of the (4, 2) search
+    x, y, z = _xyz(field_of_order(16))
+    f = x * x + y * z
+    rep = intersection(hermitian_model(4, "H2"), f)
+    assert rep.count == 10
+    assert reducibility_search(f, _candidates(f, rep)).status == "irreducible"
 
 
 def test_smooth_point_certificate_for_hermitian():
-    h = hermitian_model(3, "H2")
-    assert has_smooth_rational_point(h)
-    assert absolute_irreducibility_status(h).status == "absolutely-irreducible"
+    # an achiever certified by the lines has every common point smooth
+    # (Bezout), which the scalar singularity test confirms point by point;
+    # H_2 is an achiever of itself, certified by its partials
+    x, y, z = _xyz(field_of_order(16))
+    h2 = hermitian_model(2, "H2")
+    cases = [
+        (hermitian_model(4, "H2"), x * x + y * z),
+        (hermitian_model(3, "H2"), sporadic_cubic(3)),
+        (hermitian_model(3, "H1"), secant_fan_curve(3, 4)[1]),
+        (h2, h2),
+    ]
+    for h, f in cases:
+        rep = intersection(h, f)
+        assert absolute_irreducibility_status(f, rep).status == "absolutely-irreducible"
+        for xyz in coordinate_triples(f.field.order, rep.points):
+            assert not is_singular_point(f, xyz)
 
 
 def test_singular_cubic_is_not_certified():
-    # a product of three lines has no smooth-point certificate route
-    spec = field_of_order(9)
-    x = TernaryForm(spec, 1, {(1, 0, 0): 1})
-    y = TernaryForm(spec, 1, {(0, 1, 0): 1})
-    z = TernaryForm(spec, 1, {(0, 0, 1): 1})
+    # XYZ meets H2 over F_9 in 12 points, three secants meeting off H
+    x, y, z = _xyz(field_of_order(9))
     f = x * y * z
-    assert absolute_irreducibility_status(f).status == "reducible"
+    rep = intersection(hermitian_model(3, "H2"), f)
+    assert rep.count == 12
+    assert absolute_irreducibility_status(f, rep).status == "reducible"

@@ -4,7 +4,7 @@ from operator import mul
 import numpy as np
 import pytest
 
-from hermplane import plane, search
+from hermplane import search
 from hermplane.constructions import sporadic_cubic
 from hermplane.plane import (
     TernaryForm,
@@ -19,17 +19,18 @@ from hermplane.plane import (
     monomials,
     point_coords,
     point_index,
-    vanishing_lines,
+    reducibility_search,
 )
 from hermplane.search import (
     _MAX_FORM_INDEX,
     _coeff_rows,
     _full_secants,
-    _has_line_factor,
     _zero_hits,
     exhaustive_negative_search,
     projective_form_count,
 )
+
+from brute_force import vanishing_lines
 from test_factor_certificate import _coeff_batches
 
 
@@ -144,16 +145,15 @@ def test_zero_hits_count_past_255_points():
 
 def _line_test(q, model, forms):
     """The search's line test on `forms` of one degree, (factor?, lines
-    voted for), next to the full-plane oracle (factor?, vanishing lines)."""
+    voted for), next to the brute-force oracle (factor?, vanishing lines)."""
     spec = hermitian_model(q, model).field
     monos = monomials(forms[0].degree)
     batch = np.array([[f.terms.get(m, 0) for m in monos] for f in forms])
     points = point_coords(spec.order, hermitian_points(q, model))
     lines, on = hermitian_secants(q, model)
     voted = [lines[row] for row in _full_secants(spec, on, monos, batch, points)]
-    oracle = vanishing_lines(spec, monos, batch)
-    got = [(_has_line_factor(f, q, v), v.tolist()) for f, v in zip(forms, voted)]
-    want = [(bool(row.any()), np.flatnonzero(row).tolist()) for row in oracle]
+    got = [(reducibility_search(f, v).status == "factor", v.tolist()) for f, v in zip(forms, voted)]
+    want = [(len(v) > 0, v.tolist()) for v in map(vanishing_lines, forms)]
     return got, want
 
 
@@ -187,7 +187,8 @@ def test_vote_confirms_with_divides_past_degree_q(model):
     # q = 2, d = 3 = q + 1: a secant through q + 1 zeros need not divide.
     # A secant times a conic through the other six points is a factor; a
     # cubic through the points of a secant, L X^2 plus three other lines
-    # through them, is not one: the vote keeps L, and `divides` rejects it
+    # through them, is not one: the vote keeps L, and the values at the
+    # Q + 1 points of L reject it, as `divides` does
     q = 2
     h = hermitian_model(q, model)
     spec = h.field
@@ -213,23 +214,16 @@ def test_vote_finds_no_line_in_the_sporadic_cubics(q, model):
     assert got == want == [(False, [])]
 
 
-def _no_plane(*args):
-    raise AssertionError("a form was evaluated on the whole plane")
-
-
-def test_search_evaluates_no_form_off_the_hermitian_points(monkeypatch):
-    # d <= 3 needs no full-plane evaluation: the line test is the vote
-    monkeypatch.setattr(plane, "_plane_blocks", _no_plane)
+def test_search_evaluates_no_form_off_the_hermitian_points():
+    # d <= q: the vote's secants are the line factors, with no evaluation
     rep = exhaustive_negative_search(3, 2)
     assert rep.complete and rep.total_forms_scanned == 66430
     assert len(rep.achievers) == len(rep.reducible_achievers) == 945
 
 
-def test_search_counts_irreducible_achievers_at_q4_d2(monkeypatch):
-    # irreducible conics meet H_4 in 10 points: each is re-measured by
-    # `intersection` and kept with no certificate on the whole plane; the
-    # reducible ones are secant pairs
-    monkeypatch.setattr(plane, "_plane_blocks", _no_plane)
+def test_search_counts_irreducible_achievers_at_q4_d2():
+    # irreducible conics meet H_4 in 10 points: all are re-measured in one
+    # `intersection_counts` batch; the reducible ones are secant pairs
     rep = exhaustive_negative_search(4, 2)
     assert rep.complete and rep.total_forms_scanned == projective_form_count(16, 6)
     counts = tuple(map(len, (rep.achievers, rep.reducible_achievers, rep.irreducible_achievers)))
