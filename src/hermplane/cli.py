@@ -86,8 +86,9 @@ def cmd_hermitian_points(args):
     # json lines go out _EMIT_CHUNK points at a time; a table or csv needs
     # every row at once for its columns
     step = _EMIT_CHUNK if args.format == "json" else len(idx)
+    names = {}  # each element is formatted once over all chunks
     for i in range(0, len(idx), step):
-        points = format_points(spec, idx[i : i + step])
+        points = format_points(spec, idx[i : i + step], names)
         _emit(({"q": args.q, "model": args.model, "point": P} for P in points), args.format)
     return 0
 

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
+from operator import index
 
 import numpy as np
 
@@ -121,6 +122,13 @@ class FieldSpec:
     Every field, prime or not, fills its exp table by the same matrix
     doubling (`_fill_powers`).  Every table (exp, log, negation, and the
     Zech table of an odd extension field) has O(q) entries.
+
+    The numpy arrays are the only storage: the vector ops gather from
+    them, and the scalar ops index a `memoryview` of each, which reads the
+    array in place and returns a Python int (a numpy scalar index makes
+    three numpy objects per product).  Python-list copies index faster
+    still, but they would hold one Python int object per entry, over 1 GB
+    for a 2^24-element field.
     """
 
     def __init__(self, p: int, m: int):
@@ -188,6 +196,9 @@ class FieldSpec:
             zech[:q1] = np.arange(-zero_log, q1 - zero_log)
             zech[q1 + 2 : 3 * q1 + 1] = np.concatenate((one_plus[1:], one_plus))
             self._add_tab = zech
+        # zero-copy views for the scalar ops: one index is one Python int
+        self._exp_view, self._log_view, self._neg_view = map(memoryview, (self._exp, log, self._neg))
+        self._add_view = None if self._add_tab is None else memoryview(self._add_tab)
 
     def _mul_matrices(self, cs, comp):
         """T[j], the F_p-linear map of multiplying by cs[j]: row i = digits of cs[j]*x^i."""
@@ -247,30 +258,33 @@ class FieldSpec:
             k += len(blk)
 
     # -- scalar arithmetic on encodings -------------------------------------
+    # an argument may be any integer, numpy's too; every result is an int
 
     def add(self, a, b):
         if self.p == 2:
-            return a ^ b
+            return index(a ^ b)
         if self.m == 1:
-            return (a + b) % self.p
-        la = self._log.item(a)
-        return self._exp.item(la + self._add_tab.item(self._log.item(b) - la + 2 * self.order - 1))
+            return index(a + b) % self.p
+        log = self._log_view
+        la = log[a]
+        return self._exp_view[la + self._add_view[log[b] - la + 2 * self.order - 1]]
 
     def neg(self, a):
-        return int(self._neg[a])
+        return self._neg_view[a]
 
     def sub(self, a, b):
-        return self.add(a, self.neg(b))
+        return self.add(a, self._neg_view[b])
 
     def mul(self, a, b):
         if a == 0 or b == 0:
             return 0
-        return int(self._exp[self._log[a] + self._log[b]])
+        log = self._log_view
+        return self._exp_view[log[a] + log[b]]
 
     def inv(self, a):
         if a == 0:
             raise FieldError("inversion of zero")
-        return int(self._exp[self.order - 1 - self._log[a]])
+        return self._exp_view[self.order - 1 - self._log_view[a]]
 
     def pow(self, a, e):
         if a == 0:
@@ -279,13 +293,13 @@ class FieldSpec:
             if e < 0:
                 raise FieldError("negative power of zero")
             return 0
-        return int(self._exp[(int(self._log[a]) * e) % (self.order - 1)])
+        return self._exp_view[self._log_view[a] * e % (self.order - 1)]
 
     def element_order(self, a):
         if a == 0:
             raise FieldError("zero has no multiplicative order")
         n = self.order - 1
-        return n // gcd(n, int(self._log[a]))
+        return n // gcd(n, self._log_view[a])
 
     # -- vectorized arithmetic on int64 arrays of encodings ------------------
 

@@ -590,17 +590,24 @@ def lines_through(spec: FieldSpec, points, k: int) -> tuple[np.ndarray, np.ndarr
     return lines, on
 
 
+def secants_divide(d: int, Q: int) -> bool:
+    """Whether every line holding q+1 zeros of a degree-d form over F_Q,
+    Q = q^2, divides it: so it does when d <= q, as f|_L then has more
+    zeros than its degree and vanishes."""
+    return d <= isqrt(Q)
+
+
 def line_factors(f: TernaryForm, lines) -> np.ndarray:
     """The lines among `lines` that divide f, where each of `lines` holds
     q+1 zeros of f, Q = q^2 and f has degree d < Q.
 
-    When d <= q, f|_L has more zeros than its degree, so it vanishes and L
-    divides f.  Otherwise L divides f exactly when f vanishes at its Q+1
-    points, as Q + 1 > d: one `form_values` call on `line_points`.
+    When d <= q, every one of them does (`secants_divide`).  Otherwise L
+    divides f exactly when f vanishes at its Q+1 points, as Q + 1 > d: one
+    `form_values` call on `line_points`.
     """
     spec, lines = f.field, np.asarray(lines, dtype=np.int64)
     Q = spec.order
-    if f.degree <= isqrt(Q) or not len(lines):
+    if secants_divide(f.degree, Q) or not len(lines):
         return lines
     coords = line_points(spec, *point_coords(Q, lines))
     return lines[~form_values(spec, tuple(f.terms.values()), tuple(f.terms), *coords).any(axis=-1)]
@@ -628,14 +635,23 @@ def _restrictions(f: TernaryForm, idx) -> np.ndarray:
     return np.concatenate((P[:, :1], spec.neg_v(acc), lead[:, None]), axis=1)
 
 
+@lru_cache(maxsize=None)
+def _line_order(Q: int) -> np.ndarray:
+    """The lines of P^2(F_Q) in golden-ratio order, line i at the
+    fractional part of 0.618... * i; read-only."""
+    order = np.argsort(np.arange(line_count(Q)) * 0.6180339887498949 % 1, kind="stable")
+    order.flags.writeable = False
+    return order
+
+
 def _line_surviving_degrees(f: TernaryForm, levels) -> list[int]:
     """The factor degrees in `levels` that no line restriction excludes; d <= Q.
 
     A line is used when f|_L is squarefree: g(t) = f(A + tB) squarefree of
     degree d, or of degree d - 1, where B is a simple root and adds one
-    linear factor.  Lines are walked in golden-ratio order (line i at the
-    fractional part of 0.618... * i), which spreads the lines of each
-    batch over the enumeration, until no degree survives or _LINE_STALL
+    linear factor.  Lines are walked in golden-ratio order (`_line_order`,
+    cached per Q), which spreads the lines of each batch over the
+    enumeration, until no degree survives or _LINE_STALL
     used lines in a row removed none; the degrees still open are
     returned, so stopping early never certifies anything.
     """
@@ -644,7 +660,7 @@ def _line_surviving_degrees(f: TernaryForm, levels) -> list[int]:
     if not survivors:
         return []
     stall = 0
-    order = np.argsort(np.arange(line_count(spec.order)) * 0.6180339887498949 % 1, kind="stable")
+    order = _line_order(spec.order)
     for lo in range(0, len(order), _LINE_BATCH):
         if not survivors or stall >= _LINE_STALL:
             break

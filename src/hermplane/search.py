@@ -17,30 +17,33 @@ to one counter per form, with no field arithmetic per form.
 Form indices are int64; a space past int64 is refused before the scan,
 so every place value Q^k the scan decodes fits.
 
-An achiever, rebuilt from its index, that shares no component with the
+Achievers are kept as their coefficient rows over `monomials(d)`, each
+with its class; a form is built only to classify a row or, through
+`SearchReport.forms`, for a test.  A line meets H_q in 1 or q+1 rational
+points, and for d >= 2 a line factor L of an achiever f = L g holds at
+least q+1 of its d(q+1) zeros, since g meets H_q in at most (d-1)(q+1) by
+Bezout: L is a secant whose q+1 points are all zeros of f.  The secant
+vote (`_full_secants`) finds these secants for all achievers at once from
+their values at the Hermitian points, sums of the rows of the scan's term
+table.  When 2 <= d <= q every such secant divides f
+(`plane.secants_divide`), so a row with one is reducible in bulk.  Every
+other row is built as a form; one that shares no component with the
 Hermitian model is classified by `plane.reducibility_search`, the rule
-the factor certificate uses, with its line factors decided on the
-Hermitian points alone.  A line meets H_q in 1 or q+1 rational points,
-and for d >= 2 a line factor L of an achiever f = L g holds at least q+1
-of its d(q+1) zeros, since g meets H_q in at most (d-1)(q+1) by Bezout:
-L is a secant whose q+1 points are all zeros of f.  The secant vote
-(`_full_secants`) finds these secants for all achievers at once from
-their values at the Hermitian points, sums of the rows of the scan's
-term table, and `plane.line_factors` keeps those that divide f.  The
-line restrictions then exclude the factor degrees 2 .. d/2, none when
-d <= 3, so a conic or cubic with no line factor is irreducible.  An
-achiever the lines leave open is in neither class, and the irreducible
-ones are accepted only after `intersection_counts` re-measures them, all
-in one batch, to d(q+1).
+the factor certificate uses, where `plane.line_factors` keeps the voted
+secants that divide f and the line restrictions exclude the factor
+degrees 2 .. d/2, none when d <= 3, so a conic or cubic with no line
+factor is irreducible.  An achiever the lines leave open is in neither
+class, and the irreducible ones are accepted only after
+`intersection_counts` re-measures them, all in one batch, to d(q+1).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .field import FieldSpec
+from .field import FieldSpec, ambient
 from .plane import (
     TernaryForm,
     divides,
@@ -52,6 +55,7 @@ from .plane import (
     monomials,
     point_coords,
     reducibility_search,
+    secants_divide,
 )
 
 SCAN_BUDGET = 10**7
@@ -69,15 +73,35 @@ class SearchBudgetError(RuntimeError):
 
 @dataclass
 class SearchReport:
+    """The outcome of `exhaustive_negative_search`.
+
+    `achievers` holds the coefficient row over `monomials(d)` of each
+    achiever, in scan order, and `status[r]` the class of row r:
+    "irreducible", "factor" or "open" (`ReducibilityResult.status`).
+    """
+
     q: int
     d: int
     model: str
     target: int
     total_forms_scanned: int
     complete: bool
-    achievers: list = dc_field(default_factory=list)
-    irreducible_achievers: list = dc_field(default_factory=list)
-    reducible_achievers: list = dc_field(default_factory=list)
+    achievers: np.ndarray
+    status: np.ndarray
+
+    @property
+    def irreducible_achievers(self) -> np.ndarray:
+        return self.achievers[self.status == "irreducible"]
+
+    @property
+    def reducible_achievers(self) -> np.ndarray:
+        return self.achievers[self.status == "factor"]
+
+    def forms(self, status: str | None = None) -> list[TernaryForm]:
+        """The achievers, or those of one status, as forms in scan order."""
+        spec, mons = ambient(self.q), monomials(self.d)
+        rows = self.achievers if status is None else self.achievers[self.status == status]
+        return [_form(spec, self.d, mons, row) for row in rows.tolist()]
 
     def summary(self):
         """The record without the achiever forms."""
@@ -91,18 +115,28 @@ class SearchReport:
         }
 
     def to_dict(self):
-        # the class lists hold achievers again: serialize each form once
-        done = {id(f): sorted(f.terms.items()) for f in self.achievers}
+        # each row once, as its form's sorted (monomial, coefficient) terms:
+        # `monomials` is descending, so reversed rows list them ascending
+        ascending = monomials(self.d)[::-1]
+        terms = [
+            [(m, c) for m, c in zip(ascending, row) if c]
+            for row in self.achievers[:, ::-1].tolist()
+        ]
 
-        def ser(forms):
-            return [done.get(id(f)) or sorted(f.terms.items()) for f in forms]
+        def of(status):
+            return [terms[r] for r in np.flatnonzero(self.status == status).tolist()]
 
         return {
             **self.summary(),
-            "achievers": ser(self.achievers),
-            "irreducible_achievers": ser(self.irreducible_achievers),
-            "reducible_achievers": ser(self.reducible_achievers),
+            "achievers": terms,
+            "irreducible_achievers": of("irreducible"),
+            "reducible_achievers": of("factor"),
         }
+
+
+def _form(spec: FieldSpec, d: int, monos, row) -> TernaryForm:
+    """The form of a coefficient row over `monos`."""
+    return TernaryForm(spec, d, dict(zip(monos, row)))
 
 
 def projective_form_count(Q: int, M: int) -> int:
@@ -234,28 +268,29 @@ def exhaustive_negative_search(
             f"past the largest form index {_MAX_FORM_INDEX}"
         )
     target = d * (q + 1)
-    report = SearchReport(q, d, model, target, 0, False)
+    scanned = 0
     points = point_coords(Q, hermitian_points(q, model))
     lines, on = hermitian_secants(q, model)
     rows = []
     for lead, offset, hits in _zero_hits(spec, mons, *points):
-        report.total_forms_scanned += len(hits)
+        scanned += len(hits)
         rows.append(_coeff_rows(Q, M, lead, offset + np.flatnonzero(hits == target)))
     batch = np.concatenate(rows)
-    kept = []  # (form, status, coefficient row) of the achievers, in scan order
-    for coeffs, full in zip(batch.tolist(), _full_secants(spec, on, mons, batch, points)):
-        form = TernaryForm(spec, d, {m: c for m, c in zip(mons, coeffs) if c})
-        if not _shares_hermitian_component(form, h):
-            kept.append((form, reducibility_search(form, lines[full]).status, coeffs))
-    witnesses = [coeffs for _, status, coeffs in kept if status == "irreducible"]
-    counts = iter(intersection_counts(h, mons, witnesses).tolist())
-    for form, status, _ in kept:
-        if status == "irreducible" and next(counts) != target:
-            continue  # not the form that was counted: no witness
-        report.achievers.append(form)
-        if status == "irreducible":
-            report.irreducible_achievers.append(form)
-        elif status == "factor":
-            report.reducible_achievers.append(form)
-    report.complete = report.total_forms_scanned == total
-    return report
+    full = _full_secants(spec, on, mons, batch, points)
+    # a row with a full secant has a line factor when d <= q; a line
+    # (d = 1) is irreducible, and every other row is classified as a form
+    bulk = full.any(axis=1) if d > 1 and secants_divide(d, Q) else np.zeros(len(batch), bool)
+    status = ["factor"] * len(batch)
+    keep = np.ones(len(batch), dtype=bool)
+    for r in np.flatnonzero(~bulk).tolist():
+        form = _form(spec, d, mons, batch[r].tolist())
+        if _shares_hermitian_component(form, h):
+            keep[r] = False
+        else:
+            status[r] = reducibility_search(form, lines[full[r]]).status
+    status = np.array(status, dtype=str)
+    # an irreducible row counted again off its target is not the form the
+    # scan counted: no witness
+    witnesses = np.flatnonzero(keep & (status == "irreducible"))
+    keep[witnesses[intersection_counts(h, mons, batch[witnesses]) != target]] = False
+    return SearchReport(q, d, model, target, scanned, scanned == total, batch[keep], status[keep])

@@ -27,15 +27,20 @@ def format_element(spec: FieldSpec, x: int) -> str:
     return "[" + ",".join(str(c) for c in spec.to_coeffs(x)) + "]"
 
 
-def format_points(spec: FieldSpec, idx) -> list[str]:
+def format_points(spec: FieldSpec, idx, names=None) -> list[str]:
     """The points of enumeration indices idx as "[x:y:z]", each scaled by
-    the inverse of its first nonzero coordinate."""
+    the inverse of its first nonzero coordinate.
+
+    Each distinct coordinate is formatted once, and once over all the calls
+    that share `names`, a dict from encodings to their text that this call
+    fills in: the calls over the chunks of one listing pass one dict.
+    """
     X, Y, Z = point_coords(spec.order, idx)
     inv = spec.pow_v(np.where(X != 0, X, np.where(Y != 0, Y, Z)), -1)
     coords = np.stack([spec.mul_v(v, inv) for v in (X, Y, Z)], axis=-1)
-    # each distinct coordinate is formatted once
     values, at = np.unique(coords, return_inverse=True)
-    text = [format_element(spec, v) for v in values.tolist()]
+    names = {} if names is None else names
+    text = [names.get(v) or names.setdefault(v, format_element(spec, v)) for v in values.tolist()]
     return ["[" + ":".join(text[i] for i in xyz) + "]" for xyz in at.reshape(-1, 3).tolist()]
 
 

@@ -511,17 +511,30 @@ def test_negative_search(capsys):
     assert rec["total_forms_scanned"] == 1365 and rec["complete"] is True
 
 
+# sha256 of `negative-search --emit-points --format json` at (q, d, model),
+# from when the search built every achiever as a form and each class list
+# serialized its forms again; (2, 3) has d = q + 1 > q, so its achievers
+# are classified as forms, and the others' line factors in bulk
+EMITTED_ACHIEVERS = {
+    (3, 2, "H2"): (945, "b44f6738f47852d2b539e431c3269088e6221654beca435f2059b397d22a8c37"),
+    (2, 2, "H1"): (12, "1eb256486b999925289ad20a03575b5ec4d6140d3bd1a238177abe35bc8147d5"),
+    (2, 2, "H2"): (12, "285dc839c9acf9afcdb38174c84822873366ad7b64549389f4866776a03c6c99"),
+    (2, 3, "H1"): (4, "140751319867d10c82a0b9f23f3b7b6bc97f10dc5334ae5fe375fb1b54aca29b"),
+    (2, 3, "H2"): (4, "0a6e800e2c5528df648b64cf8b2725beb4d929fa926cb6b3da8797ccb1d20b62"),
+}
+
+
 def test_negative_search_emit_points_bytes(capsys):
-    # the 945 achievers of (3, 2), each in `achievers` and in its class
-    # list, print exactly as they did when every list serialized its forms
-    code, out, _ = run(
-        capsys, "negative-search", "--q", "3", "--d", "2", "--emit-points", "--format", "json"
-    )
-    assert code == 0
-    assert len(json.loads(out)["achievers"]) == 945
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "b44f6738f47852d2b539e431c3269088e6221654beca435f2059b397d22a8c37"
-    )
+    # each achiever in `achievers` and in its class list prints exactly as
+    # it did when the search kept forms
+    for (q, d, model), (n, digest) in EMITTED_ACHIEVERS.items():
+        code, out, _ = run(
+            capsys, "negative-search", "--q", str(q), "--d", str(d), "--model", model,
+            "--emit-points", "--format", "json",
+        )
+        assert code == 0
+        assert len(json.loads(out)["achievers"]) == n, (q, d, model)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, (q, d, model)
 
 
 def test_reproduce_paper_filter(capsys):

@@ -247,6 +247,40 @@ def test_vector_ops_match_scalar_ops():
                     assert got[r, s] == spec.mul(c, xy)
 
 
+@pytest.mark.parametrize("Q", [4, 7, 16, 25, 49])
+def test_scalar_ops_match_vector_ops_on_every_pair(Q):
+    # the char-2, prime and Zech branches of `add`.  The scalar ops read
+    # the tables through memoryviews; their values reach JSON records, so
+    # each is a Python int, for numpy-integer arguments too
+    spec = field_of_order(Q)
+    x = np.arange(Q, dtype=np.int64)
+    add, mul = spec.add_v(x[:, None], x), spec.mul_v(x[:, None], x)
+    neg = spec.neg_v(x)
+    sub = spec.add_v(x[:, None], neg)
+    exps = (-Q, -2, -1, 0, 1, 2, 3, Q - 1, Q + 1)
+    powers = {e: spec.pow_v(x, e) for e in exps}
+    for cast in (int, np.int64):
+        for a in range(Q):
+            ca = cast(a)
+            for b in range(Q):
+                cb = cast(b)
+                got = (spec.add(ca, cb), spec.sub(ca, cb), spec.mul(ca, cb))
+                assert got == (add[a, b], sub[a, b], mul[a, b]), (cast, a, b)
+                assert all(type(v) is int for v in got)
+            assert spec.neg(ca) == neg[a] and type(spec.neg(ca)) is int
+            for e in exps:
+                if a or e >= 0:
+                    v = spec.pow(ca, cast(e))
+                    assert v == powers[e][a] and type(v) is int, (cast, a, e)
+            if a:
+                assert spec.inv(ca) == powers[-1][a] and type(spec.inv(ca)) is int
+        for zero in (cast(0), 0):
+            with pytest.raises(FieldError):
+                spec.inv(zero)
+            with pytest.raises(FieldError):
+                spec.pow(zero, cast(-1))
+
+
 # -- FieldSpec against sympy's galoistools, which shares no code with it ------
 
 def _gf(a, p):

@@ -45,11 +45,11 @@ def test_no_irreducible_conic_with_six_points_over_f4():
     rep = exhaustive_negative_search(2, 2)
     assert rep.complete
     assert rep.total_forms_scanned == 1365
-    assert rep.irreducible_achievers == []
+    assert rep.forms("irreducible") == []
     # every achiever shares no component with the Hermitian model but factors
     assert len(rep.achievers) == len(rep.reducible_achievers) > 0
     h = hermitian_model(2, "H2")
-    for f in rep.achievers:
+    for f in rep.forms():
         assert intersection(h, f).count == 6
         assert not divides(f, h)
 
@@ -87,7 +87,7 @@ def test_secant_lines_are_irreducible_achievers(q):
     assert rep.complete
     assert rep.total_forms_scanned == q**4 + q**2 + 1
     assert len(rep.achievers) == len(rep.irreducible_achievers) == q**4 - q**3 + q**2
-    assert rep.reducible_achievers == []
+    assert rep.forms("factor") == []
 
 
 def test_negative_search_budget_guard():
@@ -195,7 +195,7 @@ def test_vote_confirms_with_divides_past_degree_q(model):
     lines, on = hermitian_secants(q, model)
     pts = hermitian_points(q, model)
     L = line_form(spec, int(lines[0]))
-    conic = next(c for c in exhaustive_negative_search(q, 2, model).achievers
+    conic = next(c for c in exhaustive_negative_search(q, 2, model).forms()
                  if intersection(h, L * c).count == 9)
     through = []
     for x, y, z in zip(*point_coords(spec.order, pts[on[0]])):
