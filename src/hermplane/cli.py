@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from functools import cache
 
@@ -22,6 +21,9 @@ from .search import SearchBudgetError, exhaustive_negative_search
 from .serialize import (
     curve_to_dict,
     format_points,
+    json_lines,
+    json_lines_at,
+    json_text,
     load_curve,
     save_curve,
 )
@@ -42,13 +44,19 @@ _EMIT_CHUNK = 1 << 14
 # ---------------------------------------------------------------------------
 
 def _emit(records, fmt, stream=None):
+    """Write records as json lines, csv or an aligned table.
+
+    The json lines of one call go out in one write, rendered by
+    `serialize.json_lines`: the JSON text rules (key order, separators)
+    live in `serialize` only.  An `Encoded` value is its own JSON text
+    in every format.
+    """
     stream = stream or sys.stdout
     records = list(records)
     if not records:
         return
     if fmt == "json":
-        for r in records:
-            stream.write(json.dumps(r, sort_keys=True) + "\n")
+        stream.write(json_lines(records))
         return
     keys = list(records[0])
     for r in records[1:]:
@@ -69,7 +77,7 @@ def _emit(records, fmt, stream=None):
 
 def _cell(v):
     if isinstance(v, (dict, list, tuple)):
-        return json.dumps(v, sort_keys=True)
+        return json_text(v)
     return str(v)
 
 
@@ -83,13 +91,16 @@ def cmd_hermitian_points(args):
         _emit([{"q": args.q, "model": args.model, "points": n}], args.format)
         return 0
     spec, idx = hermitian_model(args.q, args.model).field, hermitian_points(args.q, args.model)
-    # json lines go out _EMIT_CHUNK points at a time; a table or csv needs
-    # every row at once for its columns
-    step = _EMIT_CHUNK if args.format == "json" else len(idx)
-    names = {}  # each element is formatted once over all chunks
-    for i in range(0, len(idx), step):
-        points = format_points(spec, idx[i : i + step], names)
-        _emit(({"q": args.q, "model": args.model, "point": P} for P in points), args.format)
+    rec = {"q": args.q, "model": args.model}
+    if args.format != "json":
+        # a table or csv needs every row at once for its columns
+        _emit(({**rec, "point": P} for P in format_points(spec, idx)), args.format)
+        return 0
+    # json lines go out _EMIT_CHUNK points at a time, each point between
+    # the fixed text of its record
+    lines, names = json_lines_at(rec, "point"), {}  # each element formatted once
+    for i in range(0, len(idx), _EMIT_CHUNK):
+        sys.stdout.write(lines(format_points(spec, idx[i : i + _EMIT_CHUNK], names)))
     return 0
 
 

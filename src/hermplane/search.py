@@ -57,6 +57,7 @@ from .plane import (
     reducibility_search,
     secants_divide,
 )
+from .serialize import json_list, json_text
 
 SCAN_BUDGET = 10**7
 
@@ -115,20 +116,29 @@ class SearchReport:
         }
 
     def to_dict(self):
-        # each row once, as its form's sorted (monomial, coefficient) terms:
-        # `monomials` is descending, so reversed rows list them ascending
-        ascending = monomials(self.d)[::-1]
-        terms = [
-            [(m, c) for m, c in zip(ascending, row) if c]
+        """The summary with the achiever forms, each as its sorted
+        [[i, j, k], c] terms: `achievers`, `irreducible_achievers` and
+        `reducible_achievers` (rows of status "factor").
+
+        The three lists are `serialize.Encoded` JSON text, which
+        `serialize.json_line` writes verbatim: each (monomial, coefficient)
+        term is encoded once, each row's text is built once from its terms,
+        and each list joins row texts.  The JSON text rules (key order,
+        separators) live in `serialize`.
+        """
+        # `monomials` is descending, so reversed rows list terms ascending
+        terms = [[json_text([m, c]) for c in range(self.q**2)] for m in monomials(self.d)[::-1]]
+        rows = [
+            json_list([terms[m][c] for m, c in enumerate(row) if c])
             for row in self.achievers[:, ::-1].tolist()
         ]
 
         def of(status):
-            return [terms[r] for r in np.flatnonzero(self.status == status).tolist()]
+            return json_list([rows[r] for r in np.flatnonzero(self.status == status).tolist()])
 
         return {
             **self.summary(),
-            "achievers": terms,
+            "achievers": json_list(rows),
             "irreducible_achievers": of("irreducible"),
             "reducible_achievers": of("factor"),
         }

@@ -9,6 +9,13 @@ the first nonzero coordinate is 1.  Curves serialize to JSON with their
 field, degree, optional model tag and sparse term list; a curve file
 that is not exactly that (a non-integer exponent or degree, a boolean
 coefficient, the zero form, a model other than H1 or H2) is a ValueError.
+
+Every JSON line the CLI writes is rendered here (`json_line`,
+`json_lines`, `json_lines_at`), the way `json.dumps(record,
+sort_keys=True)` renders it: keys sorted, separators ", " and ": ".  A
+value that is already JSON text is marked `Encoded` and written
+verbatim, so a large value is encoded once however many records or
+lists repeat it.  The key order and separators live in this module only.
 """
 
 from __future__ import annotations
@@ -19,6 +26,64 @@ import numpy as np
 
 from .field import FieldSpec, make_field
 from .plane import TernaryForm, point_coords
+
+# the one encoder of every CLI record, json.dumps(..., sort_keys=True)'s
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
+class Encoded(str):
+    """Text that is already the JSON of a value: written verbatim."""
+
+    __slots__ = ()
+
+
+def json_text(value) -> str:
+    """The JSON text of value; an Encoded value is its own text."""
+    return value if isinstance(value, Encoded) else _ENCODER.encode(value)
+
+
+def json_list(texts) -> Encoded:
+    """The JSON array whose items have the JSON texts `texts`."""
+    return Encoded("[" + ", ".join(texts) + "]")
+
+
+def json_line(record: dict) -> str:
+    """record as `json.dumps(record, sort_keys=True)` renders it, with each
+    Encoded value spliced in verbatim.
+
+    Each run of plain values between two Encoded ones, in key order, is
+    encoded in one call as an object whose braces are cut off.
+    """
+    parts, plain = [], {}
+    for key in sorted(record):
+        value = record[key]
+        if isinstance(value, Encoded):
+            if plain:
+                parts.append(_ENCODER.encode(plain)[1:-1])
+                plain = {}
+            parts.append(f"{_ENCODER.encode(key)}: {value}")
+        else:
+            plain[key] = value
+    if plain:
+        parts.append(_ENCODER.encode(plain)[1:-1])
+    return "{" + ", ".join(parts) + "}"
+
+
+def json_lines(records) -> str:
+    """The json_line of each record, each ended by a newline."""
+    return "".join([json_line(r) + "\n" for r in records])
+
+
+def json_lines_at(record: dict, key: str):
+    """A function from values to the json_lines of record with each value
+    at `key` in turn.
+
+    The record is encoded once, around a NUL that the encoder never
+    writes raw, and each line is the text before it, the value's JSON and
+    the text after it.
+    """
+    head, _, tail = json_line({**record, key: Encoded("\0")}).partition("\0")
+    return lambda values: "".join([f"{head}{json_text(v)}{tail}\n" for v in values])
 
 
 def format_element(spec: FieldSpec, x: int) -> str:

@@ -344,8 +344,9 @@ def survey_split(d: int, q_max: int, gcd_filter: int | None = None):
     power builds its field uncached and drops it after its count, so the
     sweep holds one field's tables at a time.  A d below 2 is refused, as
     is a filter below 1 (0 would sweep nothing, since gcd(q, 0) = q) and
-    a q_max above MAX_ORDER, all before the sieve is allocated, and a
-    swept p^m with m above MAX_DEGREE (2^17 onward), before the prime pass.
+    a q_max above MAX_ORDER, all before the sieve is allocated; then a
+    sweep of no q, and a swept p^m with m above MAX_DEGREE (2^17 onward),
+    before the prime pass.
     """
     _check_degree(d)
     if gcd_filter is not None and gcd_filter < 1:
@@ -357,6 +358,9 @@ def survey_split(d: int, q_max: int, gcd_filter: int | None = None):
         for q, p, m in _prime_power_factors(2, q_max)
         if gcd_filter is None or gcd(q, gcd_filter) == 1
     ]
+    if not swept:
+        coprime = "" if gcd_filter is None else f" coprime to the gcd filter {gcd_filter}"
+        raise ValueError(f"survey q_max {q_max} sweeps no prime power{coprime}")
     for q, p, m in swept:
         if m > MAX_DEGREE:
             raise ValueError(

@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -9,9 +11,9 @@ import pytest
 
 from hermplane import cli
 from hermplane.cli import main
-from hermplane.plane import hermitian_model
-from hermplane.search import SearchReport
-from hermplane.serialize import format_element, load_curve
+from hermplane.plane import hermitian_model, hermitian_points, monomials
+from hermplane.search import SearchReport, exhaustive_negative_search
+from hermplane.serialize import Encoded, format_element, format_points, load_curve
 
 
 def run(capsys, *argv):
@@ -75,6 +77,26 @@ def test_hermitian_points_emit_match_brute_force(capsys, q, model):
     points = [json.loads(line)["point"] for line in out.splitlines()]
     assert len(points) == q**3 + 1
     assert points == _printed_points([hermitian_model(q, model)])
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9])
+def test_hermitian_points_json_lines_are_json_dumps(capsys, monkeypatch, q):
+    # each line is the record json.dumps writes, written whole or in chunks
+    for model in ("H1", "H2"):
+        h = hermitian_model(q, model)
+        points = format_points(h.field, hermitian_points(q, model))
+        want = "".join(
+            json.dumps({"q": q, "model": model, "point": P}, sort_keys=True) + "\n"
+            for P in points
+        )
+        for chunk in (cli._EMIT_CHUNK, 100):
+            monkeypatch.setattr(cli, "_EMIT_CHUNK", chunk)
+            code, out, _ = run(
+                capsys, "hermitian-points", "--q", str(q), "--model", model,
+                "--emit-points", "--format", "json",
+            )
+            assert code == 0
+            assert out == want, (model, chunk)
 
 
 def test_intersect_emit_points_match_brute_force(capsys, tmp_path):
@@ -371,6 +393,12 @@ def test_construct_rejects_out_of_range_alpha(capsys):
             ["survey", "--d", "6", "--q-max", "131072"],
             "survey q_max 131072 sweeps 131072 = 2^17, past the largest extension degree 16",
         ),
+        (["survey", "--d", "6", "--q-max", "1"], "survey q_max 1 sweeps no prime power"),
+        (["survey", "--d", "6", "--q-max", "-5"], "survey q_max -5 sweeps no prime power"),
+        (
+            ["survey", "--d", "5", "--q-max", "3", "--gcd-filter", "6"],
+            "survey q_max 3 sweeps no prime power coprime to the gcd filter 6",
+        ),
     ],
 )
 def test_unreadable_or_empty_input_is_usage_error(capsys, argv, message):
@@ -535,6 +563,71 @@ def test_negative_search_emit_points_bytes(capsys):
         assert code == 0
         assert len(json.loads(out)["achievers"]) == n, (q, d, model)
         assert hashlib.sha256(out.encode()).hexdigest() == digest, (q, d, model)
+
+
+def _reference_rendering(record, fmt):
+    """record as json lines, csv or a table, its lists by plain json.dumps."""
+    if fmt == "json":
+        return json.dumps(record, sort_keys=True) + "\n"
+    keys = list(record)
+    cells = [json.dumps(v, sort_keys=True) if isinstance(v, list) else str(v) for v in record.values()]
+    if fmt == "csv":
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows([keys, cells])
+        return buf.getvalue()
+    widths = [max(len(k), len(c)) for k, c in zip(keys, cells)]
+    return "".join(
+        "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n"
+        for row in (keys, cells)
+    )
+
+
+@pytest.mark.parametrize("model", ["H1", "H2"])
+@pytest.mark.parametrize("q, d", [(2, 2), (3, 2), (2, 3)])
+def test_negative_search_renders_as_plain_json_dumps(capsys, q, d, model):
+    # the record rebuilt from the report's rows and statuses: each form as
+    # its nonzero [[i, j, k], c] terms in ascending monomial order
+    rep = exhaustive_negative_search(q, d, model)
+    forms = [
+        [[list(m), c] for m, c in sorted(zip(monomials(d), row)) if c]
+        for row in rep.achievers.tolist()
+    ]
+    status = rep.status.tolist()
+    full = dict(
+        rep.summary(),
+        achievers=forms,
+        irreducible_achievers=[f for f, s in zip(forms, status) if s == "irreducible"],
+        reducible_achievers=[f for f, s in zip(forms, status) if s == "factor"],
+    )
+    for emit, record in (([], rep.summary()), (["--emit-points"], full)):
+        for fmt in ("json", "table", "csv"):
+            code, out, err = run(
+                capsys, "negative-search", "--q", str(q), "--d", str(d), "--model", model,
+                *emit, "--format", fmt,
+            )
+            assert (code, err) == (0, "")
+            assert out == _reference_rendering(record, fmt), (emit, fmt)
+
+
+def test_encoded_values_render_as_the_record_they_decode_to(capsys):
+    # marked values first, last, adjacent and between plain ones
+    mixed = {
+        "a": Encoded('[[1, 2], {"x": "y"}]'),
+        "b": Encoded('{"j": null, "k": [3]}'),
+        "c": 7,
+        "d": "text, with \"quotes\"",
+        "e": Encoded("12"),
+        "f": [1, (2, 3)],
+        "g": {"z": 1, "a": [True, None]},
+        "h": Encoded("[]"),
+    }
+    plain = {k: json.loads(v) if isinstance(v, Encoded) else v for k, v in mixed.items()}
+    for fmt in ("json", "table", "csv"):
+        cli._emit([mixed, plain], fmt)
+        got = capsys.readouterr().out.splitlines()
+        assert got[-1] == got[-2], fmt
+    cli._emit([mixed], "json")
+    assert capsys.readouterr().out == json.dumps(plain, sort_keys=True) + "\n"
 
 
 def test_reproduce_paper_filter(capsys):

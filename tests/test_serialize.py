@@ -7,9 +7,13 @@ import numpy as np
 from hermplane.field import FieldError, field_of_order
 from hermplane.plane import TernaryForm, hermitian_model
 from hermplane.serialize import (
+    Encoded,
     curve_from_dict,
     curve_to_dict,
     format_element,
+    json_line,
+    json_lines,
+    json_lines_at,
     load_curve,
     parse_element,
     save_curve,
@@ -112,3 +116,33 @@ def test_load_rejects_malformed(tmp_path):
         path.write_text(json.dumps({"p": p, "m": m, "degree": 1, "terms": [term]}))
         with pytest.raises(ValueError, match=message):
             load_curve(path)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {},
+        {"q": 3},
+        {"b": [1, {"y": 2, "x": None}], "a": "\u00e9\n", "c": 1.5, "d": True},
+        {"z": Encoded("[1, 2]")},
+        {"z": Encoded("[1, 2]"), "a": Encoded('{"k": "v"}')},
+        {"m": Encoded("[]"), "a": 1, "b": 2, "x": Encoded("3"), "y": [4], "zz": Encoded("null")},
+    ],
+)
+def test_json_line_is_json_dumps_of_the_decoded_record(record):
+    plain = {k: json.loads(v) if isinstance(v, Encoded) else v for k, v in record.items()}
+    assert json_line(record) == json.dumps(plain, sort_keys=True)
+    assert json_lines([record, plain]) == 2 * (json.dumps(plain, sort_keys=True) + "\n")
+
+
+def test_json_lines_at_varies_one_value():
+    # the fixed text around the value holds for every value, quoted or not
+    values = ["[0:1:[1,2]]", 'a "b" \\ \x00', Encoded("[1, 2]"), 7, None]
+    rec = {"q": 64, "model": "H1"}
+    want = "".join(
+        json.dumps({**rec, "point": json.loads(v) if isinstance(v, Encoded) else v}, sort_keys=True)
+        + "\n"
+        for v in values
+    )
+    assert json_lines_at(rec, "point")(values) == want
+    assert json_lines_at(rec, "a")([]) == ""

@@ -282,6 +282,24 @@ def test_survey_cap(monkeypatch):
                 survey_split(d, q_max)
 
 
+def test_survey_of_no_q_is_refused(monkeypatch):
+    # a sweep that lists no q is refused, after the degree and filter checks
+    def no_prime_pass(*args):
+        raise AssertionError("the prime pass started")
+
+    monkeypatch.setattr(splitting, "_prime_runs", no_prime_pass)
+    for q_max in (1, 0, -5):
+        with pytest.raises(ValueError, match=f"^survey q_max {q_max} sweeps no prime power$"):
+            survey_split(6, q_max)
+    message = "^survey q_max 4 sweeps no prime power coprime to the gcd filter 6$"
+    with pytest.raises(ValueError, match=message):
+        survey_split(5, 4, gcd_filter=6)
+    with pytest.raises(ValueError, match="need d >= 2"):
+        survey_split(1, 1, gcd_filter=6)
+    with pytest.raises(ValueError, match="gcd filter must be >= 1"):
+        survey_split(5, 1, gcd_filter=0)
+
+
 def test_survey_past_the_largest_extension_degree(monkeypatch):
     # 2^17 is refused before the prime pass; a filter excluding 2 sweeps on
     def no_prime_pass(*args):
