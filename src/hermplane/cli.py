@@ -13,6 +13,7 @@ import argparse
 import csv
 import sys
 from functools import cache
+from math import lgamma, log
 
 from .constructions import ConstructionError, FAMILIES, build, measure
 from .field import MAX_ORDER, FieldError, prime_power
@@ -180,10 +181,19 @@ def cmd_survey(args):
 
 def cmd_thresholds(args):
     # every output format prints these integers in decimal, which Python
-    # refuses past its digit limit (0 means no limit)
+    # refuses past its digit limit (0 means no limit).  For d >= 6 the genus
+    # exceeds (d-2)!, so a d whose (d-2)! is a digit past the limit is refused
+    # before the factorials are built; lgamma takes a float, and (10^9)!
+    # already has more digits than any limit
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     recs = []
     for d in args.d:
+        too_long = ValueError(
+            f"d={d} gives integers of more than {limit} digits, "
+            "the limit for printing an integer"
+        )
+        if limit and d >= 6 and lgamma(min(d, 10**9) - 1) / log(10) >= limit + 1:
+            raise too_long
         rec = {
             "d": d,
             "genus": genus_Fd(d),
@@ -191,10 +201,7 @@ def cmd_thresholds(args):
             "threshold": serre_split_threshold(d),
         }
         if limit and max(rec.values()) >= 10**limit:
-            raise ValueError(
-                f"d={d} gives integers of more than {limit} digits, "
-                "the limit for printing an integer"
-            )
+            raise too_long
         recs.append(rec)
     _emit(recs, args.format)
     return 0

@@ -344,6 +344,7 @@ class FieldSpec:
         e = np.zeros(np.broadcast(*(x for x, _ in operands)).shape, dtype=np.int64)
         for x, k in operands:
             lx = self._log[x]
+            k %= self.order - 1  # x^k = x^(k mod q-1) for x != 0; keeps the product in int64
             if k != 1:
                 lx *= k
             e += lx

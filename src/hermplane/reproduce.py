@@ -285,7 +285,7 @@ def check_sextic_survey():
     The zero set is asserted twice: by the splitting engine's sweep and
     by the independent fiber count of `crosscheck`.
     """
-    # crosscheck imports sympy (about 0.4 s); only this check loads it
+    # only this check runs the crosscheck, so the CLI does not import it
     from .crosscheck import fiber_survey
 
     t0 = time.monotonic()

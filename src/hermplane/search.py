@@ -40,6 +40,7 @@ class, and the irreducible ones are accepted only after
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import log10
 
 import numpy as np
 
@@ -63,6 +64,9 @@ SCAN_BUDGET = 10**7
 
 # form indices are int64 (`_coeff_rows`), so no scan goes past this one
 _MAX_FORM_INDEX = np.iinfo(np.int64).max
+
+# Python prints an int of at most this many digits by default
+_PRINTED_DIGITS = 4300
 
 # the most forms one counter of the span scan (`_zero_hits`) covers
 _SCAN_CHUNK = 1 << 15
@@ -265,8 +269,15 @@ def exhaustive_negative_search(
     h = hermitian_model(q, model)
     spec = h.field
     Q = spec.order
-    mons = monomials(d)
-    M = len(mons)
+    M = (d + 1) * (d + 2) // 2
+    # Q >= 4, so the space holds at least 2^(M-1) forms, and Q^(M-1).  Past
+    # the budget by the first bound, with Q^(M-1) of _PRINTED_DIGITS digits
+    # or more, it is refused before the count or the monomials are built;
+    # every smaller count prints in the messages below
+    if M - 1 >= budget.bit_length() and (M - 1) * log10(Q) >= _PRINTED_DIGITS - 1:
+        raise SearchBudgetError(
+            f"more than 2^{M - 1} candidate forms for (q={q}, d={d}) exceed the budget {budget}"
+        )
     total = projective_form_count(Q, M)
     if total > budget:
         raise SearchBudgetError(
@@ -277,6 +288,7 @@ def exhaustive_negative_search(
             f"budget {budget} would scan {total} forms for (q={q}, d={d}), "
             f"past the largest form index {_MAX_FORM_INDEX}"
         )
+    mons = monomials(d)
     target = d * (q + 1)
     scanned = 0
     points = point_coords(Q, hermitian_points(q, model))

@@ -162,6 +162,65 @@ def test_negative_search_budget_past_int64_is_usage_error(capsys):
     assert err.endswith("past the largest form index 9223372036854775807\n")
 
 
+@pytest.mark.parametrize("d", ["150", "1000000"])
+def test_negative_search_refuses_a_huge_space_before_listing_it(capsys, monkeypatch, d):
+    # past the budget by its 2^(M-1) bound, a space whose count would not
+    # print is refused without the count or the monomial list
+    from hermplane import search
+
+    def unreachable(d):
+        raise AssertionError("monomials listed before the budget refusal")
+
+    monkeypatch.setattr(search, "monomials", unreachable)
+    code, out, err = run(capsys, "negative-search", "--q", "2", "--d", d)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: more than 2^")
+    assert "exceed the budget 10000000" in err
+
+
+def test_thresholds_refuses_a_huge_d_before_building_it(capsys, monkeypatch):
+    def unreachable(d):
+        raise AssertionError("genus built before the digit refusal")
+
+    monkeypatch.setattr(cli, "genus_Fd", unreachable)
+    code, out, err = run(capsys, "thresholds", "--d", "1000000")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        "error: d=1000000 gives integers of more than 4300 digits, "
+        "the limit for printing an integer\n"
+    )
+
+
+def test_exponents_past_int64_reduce_mod_the_group_order(capsys, tmp_path):
+    # d = 7 + 15 * 2^58 has the exponents of d = 7 mod Q-1 = 15
+    d = str(7 + 15 * 2**58)
+    code, out, _ = run(
+        capsys, "verify", "--family", "monomial", "--q", "4", "--d", d, "--alpha", "2",
+        "--format", "json",
+    )
+    from hermplane.constructions import monomial_fast_count
+
+    assert code == 1
+    assert json.loads(out)["count"] == 5 == monomial_fast_count(4, int(d), 2)
+    code, out, _ = run(capsys, "split-count", "--q", "4", "--d", str(10**21), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["count"] == 0
+    path = tmp_path / "m.json"
+    run(capsys, "construct", "--family", "monomial", "--q", "4", "--d", "7", "--alpha", "2",
+        "--output", str(path))
+    data = json.loads(path.read_text())
+    shift = 15 * 10**20
+    data["degree"] += shift
+    for term in data["terms"]:
+        term["j" if term["j"] else "k"] += shift
+    path.write_text(json.dumps(data))
+    code, out, _ = run(capsys, "intersect", "--curve", str(path), "--q", "4", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["count"] == 5
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -678,15 +737,15 @@ print(len(recs), all(r["pass"] for r in recs), "sympy" in sys.modules)
 
 
 def test_cli_import_leaves_sympy_out():
-    # sympy is loaded only by the crosscheck record of the sextic survey,
-    # and numpy.random by no form scan or line certificate
+    # no hermplane code loads sympy, not even the crosscheck record of the
+    # sextic survey, and no form scan or line certificate loads numpy.random
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     done = subprocess.run(
         [sys.executable, "-c", _IMPORT_GUARD],
         env=env, capture_output=True, text=True, check=True,
     )
-    assert done.stdout == "3 True True\n"
+    assert done.stdout == "3 True False\n"
 
 
 _NUMPY_MA_GUARD = """

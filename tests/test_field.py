@@ -247,6 +247,26 @@ def test_vector_ops_match_scalar_ops():
                     assert got[r, s] == spec.mul(c, xy)
 
 
+@pytest.mark.parametrize("Q", [2, 4, 7, 16, 25, 49])
+def test_huge_exponents_reduce_mod_the_group_order(Q):
+    # x^k depends on k mod Q-1 for x != 0, and 0^k = 0 for every k != 0,
+    # also where Q-1 divides k; past int64 nothing wraps or overflows
+    spec = field_of_order(Q)
+    x = np.arange(Q, dtype=np.int64)
+    y = x[::-1].copy()
+    for k in (0, 1, 2, 5, Q - 2):
+        for big in (k + (Q - 1) * 2**62, k + (Q - 1) * 10**30, k - (Q - 1) * 10**30):
+            if big == k:
+                continue
+            want = spec.pow_v(x, k)
+            want[0] = 0  # the unreduced exponent is nonzero
+            assert spec.pow_v(x, big).tolist() == want.tolist(), (k, big)
+            assert [spec.pow(int(v), big) for v in x[1:]] == want[1:].tolist()
+            got = spec.monomial_v(3 % Q, ((x, big), (y, -big)))
+            ref = spec.monomial_v(3 % Q, ((x, k % (Q - 1) or Q - 1), (y, -k % (Q - 1) or Q - 1)))
+            assert got.tolist() == ref.tolist(), (k, big)
+
+
 @pytest.mark.parametrize("Q", [4, 7, 16, 25, 49])
 def test_scalar_ops_match_vector_ops_on_every_pair(Q):
     # the char-2, prime and Zech branches of `add`.  The scalar ops read
