@@ -4,13 +4,15 @@ Every command is deterministic: the same arguments always produce
 byte-identical output.  Exit codes: 0 success, 1 a verification that
 was asked for did not hold, 2 usage error or invalid parameters
 (including work refused as too large, such as a negative search over
-its scan budget) or out of memory, 130 interrupted (Ctrl-C).
+its scan budget) or out of memory, 130 interrupted (Ctrl-C), 141 stdout
+closed by its reader (128 + SIGPIPE), with nothing printed.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 from functools import cache
 from math import lgamma, log
@@ -223,6 +225,7 @@ def cmd_reproduce_paper(args):
             {k: v for k, v in r.items() if k != "millis"} for r in records
         ]
     _emit(records, args.format)
+    sys.stdout.flush()  # the summary follows the records, or none if stdout is closed
     failed = sum(1 for r in records if not r["pass"])
     _emit(
         [{"claims": len(records), "failed": failed}],
@@ -321,7 +324,13 @@ def main(argv=None):
                 prime_power(q)
             except FieldError:
                 raise ValueError(f"--q must be a prime power >= 2 (got {q})") from None
-        return globals()["cmd_" + args.command.replace("-", "_")](args)
+        code = globals()["cmd_" + args.command.replace("-", "_")](args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # the reader is gone: the exit flush writes what is left to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, SearchBudgetError, OSError) as exc:
         # ConstructionError and FieldError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)

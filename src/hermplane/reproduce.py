@@ -2,10 +2,11 @@
 package reproduces, as a list of named checks with expected and observed
 values.
 
-Each check returns a list of records {claim_id, expected, observed,
-pass, millis}; `run_all` executes them in a fixed order.  The test
-suite and the command line `reproduce-paper` command both drive this
-registry, so a claim is verified by exactly one piece of code.
+Each check is a generator of (claim_id, expected, observed) triples;
+`records` times them and turns them into records {claim_id, expected,
+observed, pass, millis}, and `run_all` runs the checks in a fixed order.
+The test suite and the command line `reproduce-paper` command both drive
+this registry, so a claim is verified by exactly one piece of code.
 
 The family records build their curves and count them against H_q the
 way `hermplane verify` does, through `constructions.measure`; their
@@ -63,57 +64,38 @@ from .splitting import (
 from .unipoly import UniPoly, roots_in_field
 
 
-def _rec(claim_id, expected, observed, t0):
-    return {
-        "claim_id": claim_id,
-        "expected": expected,
-        "observed": observed,
-        "pass": expected == observed,
-        "millis": round((time.monotonic() - t0) * 1000, 1),
-    }
+def _certified(family, q, d=None):
+    """(count, status): the family's curve measured against H_q, then
+    certified from its Hermitian zeros."""
+    _, f, rep = measure(family, q, d)
+    return rep.count, absolute_irreducibility_status(f, rep).status
 
 
 # ---------------------------------------------------------------------------
-# individual checks; each yields one or more records
+# individual checks; each yields one or more (claim_id, expected, observed)
 # ---------------------------------------------------------------------------
 
 def check_hermitian_point_counts():
     """q^3 + 1, counted by evaluating h at every point of the plane, with no
     use of the fiber table the rest of the package reads the points from."""
-    out = []
     for q in (2, 3, 4, 5, 7, 8, 9):
         for model in ("H1", "H2"):
-            t0 = time.monotonic()
             h, Q = hermitian_model(q, model), q * q
             plane = point_coords(Q, np.arange(Q * Q + Q + 1))
             values = form_values(h.field, tuple(h.terms.values()), tuple(h.terms), *plane)
-            n = int(np.count_nonzero(values == 0))
-            out.append(_rec(f"hermitian-points-{model}-q{q}", q**3 + 1, n, t0))
-    return out
+            yield f"hermitian-points-{model}-q{q}", q**3 + 1, int(np.count_nonzero(values == 0))
 
 
 def check_n3_closed_form():
-    t0 = time.monotonic()
-    bad = [
-        q
-        for q in prime_powers(2, 64)
-        if count_splitting_A(q, 3).count != n3_closed_form(q)
-    ]
-    return [_rec("cubic-split-count-closed-form-q<=64", [], bad, t0)]
+    bad = [q for q in prime_powers(2, 64) if count_splitting_A(q, 3).count != n3_closed_form(q)]
+    yield "cubic-split-count-closed-form-q<=64", [], bad
 
 
 def check_n4_closed_form():
-    t0 = time.monotonic()
-    bad = [
-        q
-        for q in prime_powers(2, 64)
-        if count_splitting_A(q, 4).count != n4_closed_form(q)
-    ]
-    out = [_rec("quartic-split-count-closed-form-q<=64", [], bad, t0)]
+    bad = [q for q in prime_powers(2, 64) if count_splitting_A(q, 4).count != n4_closed_form(q)]
+    yield "quartic-split-count-closed-form-q<=64", [], bad
     for q, want in ((16, 1), (23, 1), (8, 0), (25, 0)):
-        t0 = time.monotonic()
-        out.append(_rec(f"quartic-split-count-q{q}", want, n4_closed_form(q), t0))
-    return out
+        yield f"quartic-split-count-q{q}", want, n4_closed_form(q)
 
 
 _EXISTENCE_GRID = {
@@ -132,148 +114,91 @@ def _exists_by_criterion(q, d):
 
 
 def check_existence_criteria():
-    out = []
     for d, qs in _EXISTENCE_GRID.items():
-        t0 = time.monotonic()
         bad = []
         for q in qs:
             want = count_splitting_A(q, d).count > 0
             got = _exists_by_criterion(q, d)
             if want != got:
                 bad.append((q, want, got))
-        out.append(_rec(f"split-existence-criterion-d{d}", [], bad, t0))
-    return out
+        yield f"split-existence-criterion-d{d}", [], bad
 
 
 def check_negative_searches():
-    out = []
     for (q, d), total in (((2, 2), 1365), ((3, 2), 66430), ((2, 3), 349525)):
-        t0 = time.monotonic()
         rep = exhaustive_negative_search(q, d)
         # only achievers proved reducible are ruled out; one the factor
         # certificate leaves open breaks the negative like an irreducible one
         open_achievers = len(rep.achievers) - len(rep.reducible_achievers)
         obs = (rep.total_forms_scanned, open_achievers, rep.complete)
-        out.append(_rec(f"negative-search-q{q}-d{d}", (total, 0, True), obs, t0))
-    return out
+        yield f"negative-search-q{q}-d{d}", (total, 0, True), obs
 
 
 def check_sporadic_cubics():
-    out = []
     for q in (3, 4, 5, 7):
-        t0 = time.monotonic()
-        _, f, rep = measure("sporadic-cubic", q)
-        status = absolute_irreducibility_status(f, rep).status
-        out.append(
-            _rec(
-                f"sporadic-cubic-q{q}",
-                (3 * (q + 1), "absolutely-irreducible"),
-                (rep.count, status),
-                t0,
-            )
-        )
-    return out
+        want = (3 * (q + 1), "absolutely-irreducible")
+        yield f"sporadic-cubic-q{q}", want, _certified("sporadic-cubic", q)
 
 
 def check_sporadic_quartics():
-    out = []
     for q in (5, 9, 11, 13, 17, 19, 25):
-        t0 = time.monotonic()
-        count = measure("sporadic-quartic", q)[2].count
-        out.append(_rec(f"sporadic-quartic-q{q}", 4 * (q + 1), count, t0))
-    return out
+        yield f"sporadic-quartic-q{q}", 4 * (q + 1), measure("sporadic-quartic", q)[2].count
 
 
 def check_secant_fan():
-    out = []
     for q in (3, 4, 5):
-        t0 = time.monotonic()
         bad = [
             d
             for d in range(q + 1, q * q - q + 1)
             if measure("secant-fan", q, d)[2].count != d * (q + 1)
         ]
-        out.append(_rec(f"secant-fan-counts-q{q}", [], bad, t0))
+        yield f"secant-fan-counts-q{q}", [], bad
     for q, d in ((3, 4), (3, 5), (4, 5)):
-        t0 = time.monotonic()
-        _, f, rep = measure("secant-fan", q, d)
-        status = absolute_irreducibility_status(f, rep).status
-        out.append(
-            _rec(f"secant-fan-irreducible-q{q}-d{d}", "absolutely-irreducible", status, t0)
-        )
-    return out
+        status = _certified("secant-fan", q, d)[1]
+        yield f"secant-fan-irreducible-q{q}-d{d}", "absolutely-irreducible", status
 
 
 def check_full_point_curve():
-    out = []
     for q in (3, 4, 5):
-        t0 = time.monotonic()
-        count = measure("full-point", q)[2].count
-        out.append(_rec(f"full-point-curve-q{q}", q**3 + 1, count, t0))
+        yield f"full-point-curve-q{q}", q**3 + 1, measure("full-point", q)[2].count
     # at q = 2 the degree is q^2 - q + 1 = 3, and no irreducible cubic
     # meets H_2 in 9 points (negative-search-q2-d3)
-    t0 = time.monotonic()
-    _, f, rep = measure("full-point", 2)
-    status = absolute_irreducibility_status(f, rep).status
-    out.append(_rec("full-point-curve-q2", (9, "reducible"), (rep.count, status), t0))
-    return out
+    yield "full-point-curve-q2", (9, "reducible"), _certified("full-point", 2)
 
 
 def check_degree_q_curve():
-    out = []
     for q in (3, 4, 5, 7):
-        t0 = time.monotonic()
-        count = measure("degree-q", q)[2].count
-        out.append(_rec(f"degree-q-curve-q{q}", q * (q + 1), count, t0))
-    return out
+        yield f"degree-q-curve-q{q}", q * (q + 1), measure("degree-q", q)[2].count
 
 
 def check_even_half():
-    out = []
     for q in (4, 8, 16):
-        t0 = time.monotonic()
-        count = measure("even-half", q)[2].count
-        out.append(_rec(f"even-half-curve-q{q}", (q // 2) * (q + 1), count, t0))
-    return out
+        yield f"even-half-curve-q{q}", (q // 2) * (q + 1), measure("even-half", q)[2].count
 
 
 def check_odd_half():
-    out = []
     for q in (17, 19, 23, 25, 27, 29):
-        t0 = time.monotonic()
         try:
-            count = measure("odd-half", q)[2].count
+            want, count = ((q + 1) // 2) * (q + 1), measure("odd-half", q)[2].count
         except ConstructionError:
-            out.append(_rec(f"odd-half-curve-q{q}", "params", None, t0))
-            continue
-        out.append(_rec(f"odd-half-curve-q{q}", ((q + 1) // 2) * (q + 1), count, t0))
+            want, count = "params", None
+        yield f"odd-half-curve-q{q}", want, count
     # small odd q: outcome recorded, not asserted
     for q in (3, 5, 7, 9, 11, 13):
-        t0 = time.monotonic()
-        params = odd_half_params(q)
-        obs = "no-params" if params is None else "params"
-        out.append(_rec(f"odd-half-params-q{q}-report", obs, obs, t0))
-    return out
+        obs = "no-params" if odd_half_params(q) is None else "params"
+        yield f"odd-half-params-q{q}-report", obs, obs
 
 
 def check_quintic_survey():
-    """Each record runs its own work, so per-claim millis are its own."""
-    t0 = time.monotonic()
     rows = survey_split(5, 131, gcd_filter=20)
-    positives = [q for q, n in rows if n > 0]
-    rec1 = _rec(
+    yield (
         "quintic-survey-positives-below-131",
         [67, 79, 83, 101, 103, 107, 109, 113, 121, 127],
-        positives,
-        t0,
+        [q for q, n in rows if n > 0],
     )
-    t0 = time.monotonic()
-    rec2 = _rec("quintic-survey-n5-131", 0, count_splitting_A(131, 5).count, t0)
-    t0 = time.monotonic()
+    yield "quintic-survey-n5-131", 0, count_splitting_A(131, 5).count
     rows = survey_split(5, 500, gcd_filter=20)
-    zeros_above = [q for q, n in rows if q > 131 and n == 0]
-    rec3 = _rec("quintic-survey-no-zeros-131-500", [], zeros_above, t0)
-    return [rec1, rec2, rec3]
+    yield "quintic-survey-no-zeros-131-500", [], [q for q, n in rows if q > 131 and n == 0]
 
 
 SEXTIC_ZEROS_PAST_1877 = [2083, 2179, 2197]
@@ -288,40 +213,28 @@ def check_sextic_survey():
     # only this check runs the crosscheck, so the CLI does not import it
     from .crosscheck import fiber_survey
 
-    t0 = time.monotonic()
-    rec1 = _rec("sextic-survey-n6-1877", 0, count_splitting_A(1877, 6).count, t0)
-    t0 = time.monotonic()
+    yield "sextic-survey-n6-1877", 0, count_splitting_A(1877, 6).count
     rows = survey_split(6, 2500, gcd_filter=30)
     zeros_above = [q for q, n in rows if q > 1877 and n == 0]
-    rec2 = _rec(
-        "sextic-survey-zeros-1877-2500", SEXTIC_ZEROS_PAST_1877, zeros_above, t0
-    )
-    t0 = time.monotonic()
+    yield "sextic-survey-zeros-1877-2500", SEXTIC_ZEROS_PAST_1877, zeros_above
     fibers = dict(fiber_survey(6, 1877, 2500, gcd_filter=30))
     fiber_zeros = [q for q, n in fibers.items() if q > 1877 and n == 0]
-    rec3 = _rec(
+    yield (
         "sextic-fiber-count-1877-2500",
         (0, SEXTIC_ZEROS_PAST_1877),
         (fibers[1877], fiber_zeros),
-        t0,
     )
-    return [rec1, rec2, rec3]
 
 
 def check_genus_and_thresholds():
-    out = []
     for d, g in ((3, 0), (4, 0), (5, 4), (6, 49)):
-        t0 = time.monotonic()
-        out.append(_rec(f"splitting-field-genus-d{d}", g, genus_Fd(d), t0))
+        yield f"splitting-field-genus-d{d}", g, genus_Fd(d)
     for d, thr in ((5, 233), (6, 10766)):
-        t0 = time.monotonic()
-        out.append(_rec(f"split-threshold-d{d}", thr, serre_split_threshold(d), t0))
-    return out
+        yield f"split-threshold-d{d}", thr, serre_split_threshold(d)
 
 
 def check_euler_identity():
     """X f_X + Y f_Y + Z f_Z = d f for 1000 seeded random forms."""
-    t0 = time.monotonic()
     rng = random.Random(20260826)
     variables = {
         q: [TernaryForm(ambient(q), 1, {m: 1}) for m in ((1, 0, 0), (0, 1, 0), (0, 0, 1))]
@@ -345,16 +258,14 @@ def check_euler_identity():
         rhs = f.scale(d % spec.p)
         if not lhs.same_terms(rhs):
             bad += 1
-    return [_rec("euler-identity-1000-random-forms", 0, bad, t0)]
+    yield "euler-identity-1000-random-forms", 0, bad
 
 
 def check_monomial_fast_path():
     """Fast count equals full enumeration for every alpha, q <= 8, d <= 6.
 
     The curves of one (q, d) are counted against H2 as one batch."""
-    out = []
     for q in (2, 3, 4, 5, 7, 8):
-        t0 = time.monotonic()
         spec = ambient(q)
         h = hermitian_model(q, "H2")
         bad = []
@@ -368,15 +279,12 @@ def check_monomial_fast_path():
                 fast = monomial_fast_count(q, d, alpha)
                 if fast != full:
                     bad.append((d, alpha, fast, full))
-        out.append(_rec(f"monomial-fast-path-q{q}", [], bad, t0))
-    return out
+        yield f"monomial-fast-path-q{q}", [], bad
 
 
 def check_rho_parametrization():
     """Root identities for every non-degenerate rho, q <= 16, d <= 6."""
-    out = []
     for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
-        t0 = time.monotonic()
         spec = ambient(q)
         p = spec.p
         bad = []
@@ -413,14 +321,11 @@ def check_rho_parametrization():
                         )
                         if lhs != r:
                             bad.append(("ratio", d, r, t3))
-        out.append(_rec(f"rho-parametrization-q{q}", [], bad, t0))
-    return out
+        yield f"rho-parametrization-q{q}", [], bad
 
 
 def check_norm_trace():
-    out = []
     for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
-        t0 = time.monotonic()
         spec = ambient(q)
         sub = subfield_elements(spec, q)
         bad = []
@@ -433,8 +338,7 @@ def check_norm_trace():
         for s in sub:
             if s and len(norm_preimages(spec, s)) != q + 1:
                 bad.append(("preimages", s))
-        out.append(_rec(f"norm-trace-q{q}", [], bad, t0))
-    return out
+        yield f"norm-trace-q{q}", [], bad
 
 
 CHECKS = [
@@ -460,10 +364,31 @@ CHECKS = [
 ]
 
 
+def records(check):
+    """The records {claim_id, expected, observed, pass, millis} of the
+    (claim_id, expected, observed) triples that `check()` yields.
+
+    A claim's millis run from the start of the check, or from the yield of
+    its previous claim, to its own yield: the time the consumer spends
+    between two records is not counted, and a check's millis sum to its
+    run time.
+    """
+    t0 = time.monotonic()
+    for claim_id, expected, observed in check():
+        yield {
+            "claim_id": claim_id,
+            "expected": expected,
+            "observed": observed,
+            "pass": expected == observed,
+            "millis": round((time.monotonic() - t0) * 1000, 1),
+        }
+        t0 = time.monotonic()
+
+
 def run_all(only: str | None = None):
-    """Run every check (or those whose group name contains `only`); a
-    ValueError when `only` matches no group."""
+    """The records of every check (or of those whose group name contains
+    `only`); a ValueError when `only` matches no group."""
     checks = [fn for name, fn in CHECKS if not only or only in name]
     if not checks:
         raise ValueError(f"no check group name contains {only!r}")
-    return [r for fn in checks for r in fn()]
+    return [r for fn in checks for r in records(fn)]

@@ -8,7 +8,8 @@ enumeration indices everywhere else, print as "[x:y:z]" scaled so that
 the first nonzero coordinate is 1.  Curves serialize to JSON with their
 field, degree, optional model tag and sparse term list; a curve file
 that is not exactly that (a non-integer exponent or degree, a boolean
-coefficient, the zero form, a model other than H1 or H2) is a ValueError.
+coefficient, a monomial listed twice, the zero form, a model other than
+H1 or H2) is a ValueError.
 
 Every JSON line the CLI writes is rendered here (`json_line`,
 `json_lines`, `json_lines_at`), the way `json.dumps(record,
@@ -195,6 +196,8 @@ def curve_from_dict(data: dict) -> TernaryForm:
     terms = {}
     for t in raw_terms:
         i, j, k, coeff = _require(t, ("i", "j", "k", "coeff"), "curve term")
+        if (i, j, k) in terms:
+            raise ValueError(f"curve lists the monomial {(i, j, k)} twice")
         terms[(i, j, k)] = parse_element(spec, coeff)
     form = TernaryForm(spec, degree, terms)
     if form.is_zero():

@@ -6,18 +6,20 @@ hermplane.reproduce, so the numbers asserted here are produced by the
 same code path as the `reproduce-paper` command.
 """
 
+import hashlib
+import json
 import time
 
 import numpy as np
 import pytest
 
-from hermplane import reproduce, search
+from hermplane import cli, reproduce, search
 from hermplane.plane import ReducibilityResult
 
 
 def _run(fn, budget_seconds):
     t0 = time.monotonic()
-    records = fn()
+    records = list(reproduce.records(fn))
     elapsed = time.monotonic() - t0
     assert elapsed < budget_seconds, f"took {elapsed:.1f}s, budget {budget_seconds}s"
     return records
@@ -80,7 +82,7 @@ def test_undecided_achievers_break_the_negative(monkeypatch):
         "_full_secants",
         lambda spec, on, monos, batch, points: np.zeros((len(batch), len(on)), bool),
     )
-    records = reproduce.check_negative_searches()
+    records = list(reproduce.records(reproduce.check_negative_searches))
     assert [r["pass"] for r in records] == [False] * 3
     assert all(r["observed"][1] > 0 for r in records)
     monkeypatch.setattr(
@@ -88,7 +90,7 @@ def test_undecided_achievers_break_the_negative(monkeypatch):
         "reducibility_search",
         lambda form, lines: ReducibilityResult("open", open=(2,)),
     )
-    records = reproduce.check_negative_searches()
+    records = list(reproduce.records(reproduce.check_negative_searches))
     assert [r["pass"] for r in records] == [False] * 3
     assert all(r["observed"][1] > 0 for r in records)
 
@@ -171,10 +173,10 @@ def test_genus_and_thresholds():
 def test_property_suites():
     t0 = time.monotonic()
     records = []
-    records += reproduce.check_euler_identity()
-    records += reproduce.check_monomial_fast_path()
-    records += reproduce.check_rho_parametrization()
-    records += reproduce.check_norm_trace()
+    records += reproduce.records(reproduce.check_euler_identity)
+    records += reproduce.records(reproduce.check_monomial_fast_path)
+    records += reproduce.records(reproduce.check_rho_parametrization)
+    records += reproduce.records(reproduce.check_norm_trace)
     elapsed = time.monotonic() - t0
     assert elapsed < 60, f"took {elapsed:.1f}s, budget 60s"
     _assert_all_pass(records)
@@ -185,7 +187,41 @@ def test_monomial_fast_path_reports_an_off_count(monkeypatch):
     # one is a mismatch at every (q, d, alpha)
     exact = reproduce.monomial_fast_count
     monkeypatch.setattr(reproduce, "monomial_fast_count", lambda q, d, alpha: exact(q, d, alpha) + 1)
-    records = reproduce.check_monomial_fast_path()
+    records = list(reproduce.records(reproduce.check_monomial_fast_path))
     assert [r["pass"] for r in records] == [False] * 6
     assert [len(r["observed"]) for r in records] == [5 * (q * q - 1) for q in (2, 3, 4, 5, 7, 8)]
     assert all(fast == full + 1 for r in records for _, _, fast, full in r["observed"])
+
+
+def test_records_time_each_claim_from_the_previous_yield(monkeypatch):
+    # a claim's millis are the check's own time since its previous claim;
+    # the 100 s the consumer spends between two records are not counted
+    now = [0.0]
+    monkeypatch.setattr(reproduce.time, "monotonic", lambda: now[0])
+
+    def check():
+        now[0] += 5
+        yield "first", 1, 1
+        now[0] += 2
+        yield "second", 1, 2
+
+    records = []
+    for r in reproduce.records(check):
+        records.append(r)
+        now[0] += 100
+    assert [r["millis"] for r in records] == [5000.0, 2000.0]
+    assert [(r["claim_id"], r["pass"]) for r in records] == [("first", True), ("second", False)]
+
+
+# sha256 of the whole matrix's `reproduce-paper --format json` stdout: a
+# change that adds or alters a record updates it
+MATRIX_SHA256 = "a334944ec88f10e6a0f4ecf94adccc292bca9941d560f0483e7d338f4686e65c"
+
+
+def test_reproduce_paper_is_pinned(capsys):
+    assert cli.main(["reproduce-paper", "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert hashlib.sha256(out.encode()).hexdigest() == MATRIX_SHA256
+    assert err == '{"claims": 107, "failed": 0}\n'
+    ids = [json.loads(line)["claim_id"] for line in out.splitlines()]
+    assert len(ids) == len(set(ids)) == 107

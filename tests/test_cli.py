@@ -507,6 +507,10 @@ def test_intersect_rejects_out_of_range_coefficient(capsys, tmp_path):
           "model": "H3"}, "curve 'model' = 'H3' is not 'H1' or 'H2'"),
         ({"p": 3, "m": 2, "degree": 1, "terms": [{"i": 1, "j": 0, "k": 0, "coeff": 1}],
           "model": None}, "curve 'model' = None is not 'H1' or 'H2'"),
+        ({"p": 3, "m": 2, "degree": 1, "terms": [{"i": 1, "j": 0, "k": 0, "coeff": 1},
+                                                 {"i": 0, "j": 1, "k": 0, "coeff": 1},
+                                                 {"i": 1, "j": 0, "k": 0, "coeff": 2}]},
+         "curve lists the monomial (1, 0, 0) twice"),
     ],
 )
 def test_intersect_rejects_malformed_curve_file(capsys, tmp_path, data, key):
@@ -774,3 +778,35 @@ def test_plane_commands_leave_numpy_ma_out():
         env=env, capture_output=True, text=True, check=True,
     )
     assert done.stdout == "[0, 1, 0] False\n"
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        # about 18 MB of json lines, far more than a pipe holds; the reader
+        # takes one line and closes
+        ("hermitian-points --q 64 --emit-points --format json", 1),
+        # a short table, which only a flush writes, into a pipe whose
+        # reader is closed before the command starts: no summary follows
+        ("reproduce-paper --only genus --format table", 0),
+    ],
+    ids=["listing", "table"],
+)
+def test_closed_stdout_exits_141_quietly(argv, lines):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    env.pop("PYTHONUNBUFFERED", None)
+    r, w = os.pipe()
+    if not lines:
+        os.close(r)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "hermplane.cli", *argv.split()],
+        stdout=w, stderr=subprocess.PIPE, env=env,
+    )
+    os.close(w)
+    if lines:
+        with open(r) as reader:
+            assert reader.readline().startswith('{"model": "H1", "point": ')
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""
