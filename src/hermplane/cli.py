@@ -239,82 +239,83 @@ def cmd_reproduce_paper(args):
 # parser
 # ---------------------------------------------------------------------------
 
+_COMMANDS = {
+    "hermitian-points": "count or list Hermitian points",
+    "intersect": "intersect a curve file with a Hermitian model",
+    "construct": "construct a curve from a named family",
+    "verify": "verify a curve from a named family",
+    "split-count": "count splitting values A for A t^d + t + 1",
+    "survey": "splitting counts over a range of prime powers",
+    "thresholds": "genus and guaranteed-splitting thresholds",
+    "negative-search": "exhaustively scan forms of degree d for achievers",
+    "reproduce-paper": "run the full verification matrix",
+}
+
+
 @cache
-def _build_parser():
-    """The parser, built once per process; `main` dispatches to cmd_<command>."""
+def _build_parser(command=None):
+    """The parser of `command` alone, or of every command when it is None.
+
+    Built once per process and command; `main` builds the one its argv
+    names, and the whole tree only for help, no command or an unknown one.
+    """
     parser = argparse.ArgumentParser(
         prog="hermplane",
         description="plane curves with many rational Hermitian intersections",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # a one-command parser shows the whole tree's usage line in its errors
+    metavar = command and "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, text in _COMMANDS.items():
+        if command in (None, name):
+            _add_arguments(name, sub.add_parser(name, help=text))
+    return parser
 
-    def common(p):
+
+def _add_arguments(name, p):
+    """The options of the command `name` on its subparser p."""
+    if name == "hermitian-points":
+        p.add_argument("--q", type=int, required=True)
+        p.add_argument("--model", choices=("H1", "H2"), default="H1")
+        p.add_argument("--emit-points", action="store_true")
+    elif name == "intersect":
+        p.add_argument("--curve", required=True)
+        p.add_argument("--q", type=int, required=True)
         p.add_argument(
-            "--format", choices=("json", "csv", "table"), default="table"
+            "--model", choices=("H1", "H2"), help="default: the curve file's model, else H1"
         )
-
-    p = sub.add_parser("hermitian-points", help="count or list Hermitian points")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--model", choices=("H1", "H2"), default="H1")
-    p.add_argument("--emit-points", action="store_true")
-    common(p)
-
-    p = sub.add_parser("intersect", help="intersect a curve file with a Hermitian model")
-    p.add_argument("--curve", required=True)
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument(
-        "--model", choices=("H1", "H2"), help="default: the curve file's model, else H1"
-    )
-    p.add_argument("--emit-points", action="store_true")
-    common(p)
-
-    for name in ("construct", "verify"):
-        p = sub.add_parser(name, help=f"{name} a curve from a named family")
+        p.add_argument("--emit-points", action="store_true")
+    elif name in ("construct", "verify"):
         p.add_argument("--family", choices=FAMILIES, required=True)
         p.add_argument("--q", type=int, required=True)
         p.add_argument("--d", type=int)
         p.add_argument("--alpha", help="field element, e.g. 'w^3' or '[1,2]'")
         if name == "construct":
             p.add_argument("--output", help="write the curve to this file")
-        common(p)
-
-    p = sub.add_parser("split-count", help="count splitting values A for A t^d + t + 1")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    common(p)
-
-    p = sub.add_parser("survey", help="splitting counts over a range of prime powers")
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--q-max", type=int, required=True)
-    p.add_argument("--gcd-filter", type=int, default=None)
-    common(p)
-
-    p = sub.add_parser("thresholds", help="genus and guaranteed-splitting thresholds")
-    p.add_argument("--d", type=int, nargs="+", default=[5, 6])
-    common(p)
-
-    p = sub.add_parser(
-        "negative-search", help="exhaustively scan forms of degree d for achievers"
-    )
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--model", choices=("H1", "H2"), default="H2")
-    p.add_argument("--budget", type=int, default=None)
-    p.add_argument("--emit-points", action="store_true", help="include achiever forms")
-    common(p)
-
-    p = sub.add_parser(
-        "reproduce-paper", help="run the full verification matrix"
-    )
-    p.add_argument("--only", help="run only check groups whose name contains this")
-    p.add_argument("--timings", action="store_true", help="include per-claim millis")
-    common(p)
-
-    return parser
+    elif name == "split-count":
+        p.add_argument("--q", type=int, required=True)
+        p.add_argument("--d", type=int, required=True)
+    elif name == "survey":
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--q-max", type=int, required=True)
+        p.add_argument("--gcd-filter", type=int, default=None)
+    elif name == "thresholds":
+        p.add_argument("--d", type=int, nargs="+", default=[5, 6])
+    elif name == "negative-search":
+        p.add_argument("--q", type=int, required=True)
+        p.add_argument("--d", type=int, required=True)
+        p.add_argument("--model", choices=("H1", "H2"), default="H2")
+        p.add_argument("--budget", type=int, default=None)
+        p.add_argument("--emit-points", action="store_true", help="include achiever forms")
+    elif name == "reproduce-paper":
+        p.add_argument("--only", help="run only check groups whose name contains this")
+        p.add_argument("--timings", action="store_true", help="include per-claim millis")
+    p.add_argument("--format", choices=("json", "csv", "table"), default="table")
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser(argv[0] if argv and argv[0] in _COMMANDS else None).parse_args(argv)
     try:
         q = getattr(args, "q", None)
         if q is not None:

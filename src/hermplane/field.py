@@ -9,15 +9,17 @@ p, as the -1 coefficients of the Hermitian models need) and `from_coeffs` a
 coordinate vector.  The modulus is the monic irreducible polynomial of
 degree m with the smallest encoding, and the generator is the
 smallest-encoded element of full multiplicative order, so two builds of the
-same field are identical.
+same field are identical.  The modulus search tests the candidates in
+encoding order by Ben-Or's test (`canonical_modulus`), in small list
+polynomials over F_p: about 1 ms for F_{2^16} and 0.1 ms for F_{4093^2}.
 
 Multiplication runs through log/antilog tables built from the generator g.
 The tables come from F_p-linear algebra on digit vectors: multiplication by
 c is an m x m matrix T over F_p (rows built from the companion matrix of the
 modulus).  The generator is the first c in encoding order that passes the
 order test c^((q-1)/r) != 1 for every prime r dividing q-1, where c^e is
-read off T^e by repeated squaring (a modular pow when m = 1); its powers
-then fill in log2(q) matrix doublings, in every field alike (a prime
+read off T^e by repeated squaring in int64 (a modular pow when m = 1); its
+powers then fill in log2(q) matrix doublings, in every field alike (a prime
 field's matrices are 1 x 1: its modulus is x).  Addition is XOR in
 characteristic 2 and a sum mod p in a prime field.  Odd extension fields
 add by Zech's logarithms (Lidl and Niederreiter, Finite Fields):
@@ -75,19 +77,54 @@ def _poly_mod(a, b, p):
     return a
 
 
-def _divides(small, big, p):
-    return not _poly_mod(big, small, p)
+def _poly_mulmod(a, b, f, p):
+    """a * b modulo monic f over F_p."""
+    prod = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                prod[i + j] += x * y
+    return _poly_mod(_poly_trim([c % p for c in prod]), f, p)
 
 
-def _is_irreducible(poly, p):
-    """Trial division by all monic polynomials of degree <= deg/2."""
-    m = len(poly) - 1
-    for k in range(1, m // 2 + 1):
-        for enc in range(p ** k):
-            cand = _decode(enc, p, k) + [1]
-            if _divides(cand, poly, p):
-                return False
-    return True
+def _poly_gcd(a, b, p):
+    """The monic gcd over F_p of a monic a and any b."""
+    while b:
+        inv = pow(b[-1], -1, p)
+        b = [c * inv % p for c in b]
+        a, b = b, _poly_mod(a, b, p)
+    return a
+
+
+def canonical_modulus(p, m):
+    """The monic irreducible of degree m with the smallest encoding: x when m = 1.
+
+    Ben-Or's test (FOCS 1981): a monic f of degree m is irreducible iff
+    gcd(f, x^(p^k) - x) = 1 for k = 1 .. m/2, as x^(p^k) - x is the
+    product of the monic irreducibles of degree dividing k.  x^(p^k) mod f
+    is x^(p^(k-1)) mod f raised to the p by square-and-multiply.  A
+    candidate fails at its first nontrivial gcd, or at once when x divides it.
+    """
+    if m == 1:
+        return (0, 1)
+    for enc in range(1, p**m):
+        f = _decode(enc, p, m) + [1]
+        if f[0] == 0:
+            continue
+        xk = [0, 1]
+        for _ in range(m // 2):
+            base = xk
+            for bit in bin(p)[3:]:
+                xk = _poly_mulmod(xk, xk, f, p)
+                if bit == "1":
+                    xk = _poly_mulmod(xk, base, f, p)
+            h = xk + [0] * (2 - len(xk))
+            h[1] = (h[1] - 1) % p
+            if _poly_gcd(f, _poly_trim(h), p) != [1]:
+                break
+        else:
+            return tuple(f)
+    raise AssertionError("no irreducible polynomial found")  # unreachable
 
 
 def _decode(n, p, m):
@@ -141,32 +178,24 @@ class FieldSpec:
         self.p = p
         self.m = m
         self.order = p ** m
-        self.modulus = self._canonical_modulus()
+        self.modulus = canonical_modulus(p, m)
         self._build_tables()
 
     # -- construction helpers ------------------------------------------------
-
-    def _canonical_modulus(self):
-        """The monic irreducible of degree m with the smallest encoding: x when m = 1."""
-        for enc in range(self.p ** self.m):
-            cand = _decode(enc, self.p, self.m) + [1]
-            if _is_irreducible(cand, self.p):
-                return tuple(cand)
-        raise AssertionError("no irreducible polynomial found")  # unreachable
 
     def _build_tables(self):
         p, m, q1 = self.p, self.m, self.order - 1
         pw = p ** np.arange(m, dtype=np.int64)
         # multiplying a digit row by the companion matrix multiplies by x.
-        # The digit algebra runs on float64 (BLAS products), exact because a
-        # product of digit rows sums at most m*(p-1)^2 < 2^53.
-        comp = np.zeros((m, m))
-        comp[:-1, 1:] = np.eye(m - 1)
+        # The fill runs on float64 (BLAS products), exact because a product
+        # of digit rows sums at most m*(p-1)^2 < 2^53.
+        comp = np.zeros((m, m), dtype=np.int64)
+        comp[:-1, 1:] = np.eye(m - 1, dtype=np.int64)
         comp[-1] = np.negative(self.modulus[:m]) % p
         self.generator = self._find_generator(comp, pw)
         rows = np.zeros((q1, m))
         rows[0, 0] = 1
-        self._fill_powers(rows, self._mul_matrices([self.generator], comp)[0])
+        self._fill_powers(rows, self._mul_matrices([self.generator], comp)[0].astype(float))
         exp = (rows @ pw).astype(np.int64)
         del rows  # the peak of a large build
         if np.flatnonzero(exp == 1).tolist() != [0]:
@@ -203,10 +232,10 @@ class FieldSpec:
     def _mul_matrices(self, cs, comp):
         """T[j], the F_p-linear map of multiplying by cs[j]: row i = digits of cs[j]*x^i."""
         p = self.p
-        T = np.empty((len(cs), self.m, self.m))
+        T = np.empty((len(cs), self.m, self.m), dtype=np.int64)
         T[:, 0] = np.asarray(cs)[:, None] // p ** np.arange(self.m) % p
         for i in range(1, self.m):
-            T[:, i] = _mod_p(T[:, i - 1] @ comp, p)
+            T[:, i] = T[:, i - 1] @ comp % p
         return T
 
     def _find_generator(self, comp, pw):
@@ -214,10 +243,14 @@ class FieldSpec:
 
         For m = 1 the test is a modular pow.  For m > 1 the candidates start
         at p, since the prime subfield's orders divide p-1, and go in batches
-        of 2, 4, 8, ...: c^e is the digit row of 1 times T_c^e.  Each
+        that double: c^e is the digit row of 1 times T_c^e.  Each
         candidate's matrix X stacks T_c^(2^i) over the rows of c^(e mod 2^i),
         one per exponent, so one product X @ T_c^(2^i) both squares T_c and
-        steps the rows of the exponents with bit i set.
+        steps the rows of the exponents with bit i set.  The products run in
+        int64, where a sum of m products of residues mod p is exact.
+        A candidate costs m^3 per product and a batch a fixed overhead, and
+        the generator is nearly always among the first few candidates, so
+        the first batch holds 16/m of them (at least 2).
         """
         p, m, q1 = self.p, self.m, self.order - 1
         exps = [q1 // r for r in prime_factors(q1)]
@@ -227,14 +260,16 @@ class FieldSpec:
             np.array([True] * m + [e >> i & 1 == 1 for e in exps])[:, None]
             for i in range(max(exps).bit_length())
         ]
-        lo, n = p, 2
+        lo, n = p, max(2, 16 // m)
         while lo < self.order:
             cs = np.arange(lo, min(lo + n, self.order))
-            X = np.zeros((len(cs), m + len(exps), m))
+            X = np.zeros((len(cs), m + len(exps), m), dtype=np.int64)
             X[:, :m] = self._mul_matrices(cs, comp)
             X[:, m:, 0] = 1
             for step in steps:
-                X = np.where(step, _mod_p(X @ X[:, :m], p), X)
+                Y = X @ X[:, :m]
+                Y %= p
+                X = np.where(step, Y, X)
             hits = np.flatnonzero(~np.any(X[:, m:] @ pw == 1, axis=1))
             if len(hits):
                 return int(cs[hits[0]])

@@ -131,10 +131,19 @@ def test_even_half_curve():
 
 
 # 12. odd-half curve: ((q+1)/2)(q+1) for q in {17,19,23,25,27,29};
-#    parameter-search outcomes for odd q <= 13 are recorded only
+#    the family has parameters at q = 7, 11, 13 and none at q = 3, 5, 9
 def test_odd_half_curve():
     records = _run(reproduce.check_odd_half, 120)
     _assert_all_pass(records)
+
+
+@pytest.mark.parametrize("params, failing", [(None, (7, 11, 13)), ((1, 1, 1), (3, 5, 9))])
+def test_odd_half_params_records_can_fail(monkeypatch, params, failing):
+    monkeypatch.setattr(reproduce, "odd_half_params", lambda q: params)
+    records = [r for r in reproduce.records(reproduce.check_odd_half) if "params-q" in r["claim_id"]]
+    assert [r["claim_id"] for r in records if not r["pass"]] == [
+        f"odd-half-params-q{q}-report" for q in failing
+    ]
 
 
 # 13. quintic splitting survey over gcd(q,20)=1:

@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -717,10 +718,49 @@ def test_deterministic_output(capsys):
     assert out1 == out2
 
 
-def test_unknown_command_is_usage_error():
+def _exit(capsys, parse, argv):
+    """The exit code, stdout and stderr of a parse that exits."""
     with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+        parse(argv)
+    captured = capsys.readouterr()
+    return exc.value.code, captured.out, captured.err
+
+
+def test_unknown_command_is_usage_error(capsys):
+    for command in ("frobnicate", "bogus"):
+        code, _, err = _exit(capsys, main, [command])
+        assert code == 2
+        assert f"invalid choice: '{command}'" in err
+
+
+NINE_COMMANDS = [
+    "hermitian-points", "intersect", "construct", "verify", "split-count",
+    "survey", "thresholds", "negative-search", "reproduce-paper",
+]
+
+
+def test_help_lists_every_command(capsys):
+    code, out, _ = _exit(capsys, main, ["--help"])
+    assert code == 0
+    assert re.findall(r"^    (\S+)  ", out, re.M) == NINE_COMMANDS
+
+
+def test_missing_option_shows_the_command_usage(capsys):
+    code, _, err = _exit(capsys, main, ["verify", "--q", "4"])
+    assert code == 2
+    assert err.startswith("usage: hermplane verify ")
+    assert "the following arguments are required: --family" in err
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["-h"], ["bogus"], ["verify", "--q", "4"], ["thresholds", "--bad"],
+    ["split-count", "--q", "4", "--d", "2", "extra"], ["survey", "--d", "x"],
+    ["verify", "--family", "nope", "--q", "3"], ["reproduce-paper", "--help"],
+])
+def test_one_command_parser_exits_as_the_whole_tree(capsys, argv):
+    # main builds only the subparser argv[0] names; its usage errors and
+    # help are those of the parser of all nine commands
+    assert _exit(capsys, main, argv) == _exit(capsys, cli._build_parser().parse_args, argv)
 
 
 _IMPORT_GUARD = """

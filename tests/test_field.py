@@ -11,10 +11,12 @@ from sympy import factorint, isprime, primitive_root
 from sympy.polys.domains import ZZ
 from sympy.polys.galoistools import gf_add, gf_irreducible_p, gf_mul, gf_rem, gf_strip
 
+from hermplane import crosscheck
 from hermplane.field import (
     FieldError,
     FieldSpec,
     ambient,
+    canonical_modulus,
     field_of_order,
     make_field,
     norm_preimages,
@@ -366,6 +368,26 @@ def test_arithmetic_matches_galoistools(Q):
         want_mul = _enc(gf_rem(gf_mul(fx, fy, p, ZZ), g, p, ZZ), p)
         assert spec.add(x, y) == s == want_add
         assert spec.mul(x, y) == t == want_mul
+
+
+# every proper prime power below 2^16, and three larger orders, by the
+# modulus alone: crosscheck's trial division shares no code with field
+MODULUS_FIELDS = [
+    (p, m) for p in filter(isprime, range(256)) for m in range(2, 16) if p**m < 1 << 16
+] + [(4093, 2), (61, 4), (2, 23)]
+
+
+def test_modulus_search_matches_trial_division():
+    assert canonical_modulus(7, 1) == (0, 1)
+    for p, m in MODULUS_FIELDS:
+        assert canonical_modulus(p, m) == tuple(crosscheck._modulus(p, m)), (p, m)
+
+
+def test_generators_are_pinned():
+    # --alpha w^k and every pinned output read the generator; F_{3^10}'s is
+    # the 32nd candidate, past the search's first four batches
+    for p, m, g in [(2, 16, 3), (3, 10, 34), (7, 5, 9)]:
+        assert FieldSpec(p, m).generator == g, (p, m)
 
 
 @pytest.mark.parametrize("p, root", [(2161, 23), (409, 21), (2287, 19), (1559, 19)])
