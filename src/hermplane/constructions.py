@@ -21,7 +21,6 @@ import numpy as np
 from .field import ambient, norm_to_subfield, primitive_elements, subfield_elements
 from .plane import TernaryForm, hermitian_model, intersection
 from .splitting import fiber_images
-from .unipoly import UniPoly
 
 
 class ConstructionError(ValueError):
@@ -126,18 +125,16 @@ def secant_pencil_curve(q: int, roots) -> TernaryForm:
     roots = list(roots)
     if len(roots) != q + 1 or len(set(roots)) != q + 1:
         raise ConstructionError(f"need q+1 distinct roots, got {len(roots)}")
-    f = UniPoly.constant(spec, 1)
+    lines = TernaryForm(spec, 0, {(0, 0, 0): 1})
     for r in roots:
-        f = f * UniPoly(spec, [spec.neg(r), 1])
-    # g = X^{q+1} - f has degree <= q
-    g = UniPoly(spec, [0] * (q + 1) + [1]) - f
-    assert g.degree <= q
+        lines = lines * TernaryForm(spec, 1, {(1, 0, 0): 1, (0, 0, 1): spec.neg(r)})
+    # -Z^q g(X/Z) = (prod(X - a_i Z) - X^{q+1}) / Z: the terms X^j Z^{q+1-j},
+    # j <= q, of the product of the lines, each with one Z fewer
     terms = {(0, q, 0): 1, (0, 1, q - 1): 1}
-    for j in range(g.degree + 1):
-        c = g.coeffs[j]
+    for j in range(q + 1):
+        c = lines.terms.get((j, 0, q + 1 - j))
         if c:
-            m = (j, 0, q - j)
-            terms[m] = spec.sub(terms.get(m, 0), c)
+            terms[(j, 0, q - j)] = c
     return TernaryForm(spec, q, terms)
 
 

@@ -54,9 +54,11 @@ of H_q whose q+1 points are all common points (`lines_through` on the
 report's points), and `line_factors` decides which of these divide it.
 A restriction to a line factors the way the form does: if f = gh then
 f|_L = g|_L h|_L, so a factor of degree k makes k a sum of degrees of
-irreducible factors of every squarefree restriction f|_L (read off by
-`unipoly.factor_degrees`).  The degrees the lines cannot exclude are
-reported open: the certificate then decides nothing.
+irreducible factors of every squarefree restriction f|_L.  Each
+restriction is a coefficient list, and `unipoly.is_squarefree` and
+`unipoly.factor_degrees` read it directly; this module is the one reader
+of `unipoly`.  The degrees the lines cannot exclude are reported open: the
+certificate then decides nothing.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .field import FieldError, FieldSpec, ambient
-from .unipoly import UniPoly, factor_degrees, is_squarefree
+from .unipoly import factor_degrees, is_squarefree
 
 # points per block when a form is evaluated on a point set: a block's int64
 # arrays are 0.5 MiB, and the few a term holds fit a 4 MiB L2 cache.  Of
@@ -665,11 +667,11 @@ def _line_surviving_degrees(f: TernaryForm, levels) -> list[int]:
         if not survivors or stall >= _LINE_STALL:
             break
         for row in _restrictions(f, order[lo : lo + _LINE_BATCH]):
-            g = UniPoly(spec, row.tolist())
-            if g.degree < d - 1 or not is_squarefree(g):
+            g = np.trim_zeros(row, "b").tolist()
+            if len(g) < d or not is_squarefree(spec, g):
                 continue
-            degrees = factor_degrees(g)
-            if g.degree < d:
+            degrees = factor_degrees(spec, g)
+            if len(g) == d:
                 degrees.append(1)
             sums = 1  # bit k set: k is a sum of some of the degrees
             for e in degrees:

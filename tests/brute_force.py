@@ -1,7 +1,8 @@
-"""Brute-force references for the plane: a form evaluated at every point
+"""Brute-force references.  For the plane: a form evaluated at every point
 of P^2(F_Q) and at every point of every line, through `point_coords`,
 `line_points` and the kernel `form_values` alone, with no fiber table
-and no vote."""
+and no vote.  For the splitting surveys: the roots of a trinomial found by
+evaluating it at every element with scalar field arithmetic."""
 
 import numpy as np
 
@@ -34,3 +35,9 @@ def line_zero_counts(f):
 def vanishing_lines(f):
     """The lines on which f vanishes at all Q+1 points, ascending."""
     return np.flatnonzero(line_zero_counts(f) == f.field.order + 1)
+
+
+def trinomial_roots(K, a, d):
+    """The t in K, in encoding order, with a t^d + t + 1 = 0, each found by
+    evaluating the trinomial with scalar `FieldSpec` arithmetic."""
+    return [t for t in range(K.order) if K.add(K.add(K.mul(a, K.pow(t, d)), t), 1) == 0]

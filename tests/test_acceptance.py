@@ -202,6 +202,23 @@ def test_monomial_fast_path_reports_an_off_count(monkeypatch):
     assert all(fast == full + 1 for r in records for _, _, fast, full in r["observed"])
 
 
+def test_rho_records_report_a_wrong_root(monkeypatch):
+    # the root set is found once per (d, rho); a t2 off by one encoding is
+    # no root of a t^d + t + 1, so every q's record fails
+    exact = reproduce.rho_parametrization
+
+    def off(q, d, rho):
+        parts = exact(q, d, rho)
+        return None if parts is None else (parts[0], parts[1], parts[2] + 1)
+
+    monkeypatch.setattr(reproduce, "rho_parametrization", off)
+    records = list(reproduce.records(reproduce.check_rho_parametrization))
+    assert [r["claim_id"] for r in records] == [
+        f"rho-parametrization-q{q}" for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)
+    ]
+    assert not any(r["pass"] for r in records)
+
+
 def test_records_time_each_claim_from_the_previous_yield(monkeypatch):
     # a claim's millis are the check's own time since its previous claim;
     # the 100 s the consumer spends between two records are not counted

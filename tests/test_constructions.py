@@ -1,4 +1,8 @@
+import hashlib
+
 import pytest
+
+from hermplane import cli
 
 from hermplane.constructions import (
     ConstructionError,
@@ -63,6 +67,26 @@ def test_degree_q_curve_counts():
         f = degree_q_curve(q)
         assert f.degree == q
         assert _count(q, "H1", f) == q * (q + 1)
+
+
+# sha256 of `construct --family degree-q --format json` stdout; the pencil's
+# expansion must leave every term of these curves as it is
+DEGREE_Q_SHA256 = {
+    ("3", None): "c75cceb76140c0b0d66b4af4bde05aa0eedca06b5eb104acda602a07bddd08e8",
+    ("4", None): "e6d197a3f8025f50ac6b253619c73a2ebbe68bbc5f5639f846b0df5b3b2aed6f",
+    ("5", None): "18d7443f35d20a9bb59dd51897ae957c9a552e4937b8ad36dbc1cbafee816fb4",
+    ("7", None): "b8323656fc0672e896750b66bce179c31d6c77b05bdefeb23d3e455af12c1f60",
+    ("16", None): "a05732c25b8c718bd6d6367147b9b52db6536259d11f18514cac3109e7082804",
+    ("9", "w^7"): "9bc2cf49bb8589402a5b3f85fb0d9f855c823ae48d305645d051764c9f2c6739",
+}
+
+
+@pytest.mark.parametrize("q, alpha", sorted(DEGREE_Q_SHA256, key=lambda k: int(k[0])))
+def test_degree_q_construction_is_pinned(capsys, q, alpha):
+    argv = ["construct", "--family", "degree-q", "--q", q, "--format", "json"]
+    assert cli.main(argv + (["--alpha", alpha] if alpha else [])) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == DEGREE_Q_SHA256[q, alpha]
 
 
 def test_canonical_degree_q_alpha_avoids_subfield_squares():

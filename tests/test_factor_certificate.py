@@ -43,7 +43,6 @@ from hermplane.plane import (
     reducibility_search,
 )
 from hermplane.search import _coeff_rows
-from hermplane.unipoly import UniPoly
 
 from brute_force import evaluate_all, line_zero_counts, vanishing_lines
 
@@ -238,7 +237,9 @@ def test_sporadic_quartic_q25_certifies_in_seconds():
 
 
 def test_restrictions_match_substitution():
-    # f(A + tB) expanded with UniPoly arithmetic, against the interpolation
+    # f(sA + tB) expanded as a binary form in X = t and Z = s with
+    # TernaryForm products: its X^j Z^(d-j) coefficient is column j of the
+    # interpolation
     for Q, d in ((9, 4), (16, 5), (16, 16), (25, 3)):
         spec = field_of_order(Q)
         rng = np.random.default_rng(Q + d)
@@ -250,15 +251,17 @@ def test_restrictions_match_substitution():
         # column 0 of a line's points is B, column 1 is A + 0B
         frames = line_points(spec, *point_coords(Q, idx))
         for r, row in enumerate(rows):
-            coords = [UniPoly(spec, [int(v[r, 1]), int(v[r, 0])]) for v in frames]
-            want = UniPoly(spec, [])
+            coords = [
+                TernaryForm(spec, 1, {(1, 0, 0): int(v[r, 0]), (0, 0, 1): int(v[r, 1])})
+                for v in frames
+            ]
+            want = TernaryForm(spec, d, {})
             for m, c in f.terms.items():
-                term = UniPoly.constant(spec, c)
-                for poly, e in zip(coords, m):
-                    for _ in range(e):
-                        term = term * poly
+                term = TernaryForm(spec, 0, {(0, 0, 0): c})
+                for line, e in zip(coords, m):
+                    term = term * line**e
                 want = want + term
-            assert UniPoly(spec, row.tolist()) == want
+            assert [want.terms.get((j, 0, d - j), 0) for j in range(d + 1)] == row.tolist()
 
 
 @st.composite
@@ -338,9 +341,9 @@ def test_line_walk_stops_when_no_line_removes_a_degree(monkeypatch):
     calls = []
     factor_degrees = plane.factor_degrees
 
-    def counted(g):
+    def counted(spec, g):
         calls.append(g)
-        return factor_degrees(g)
+        return factor_degrees(spec, g)
 
     monkeypatch.setattr(plane, "factor_degrees", counted)
     spec = field_of_order(81)

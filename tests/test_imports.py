@@ -1,6 +1,7 @@
 """numpy is the package's one runtime dependency, and the crosscheck uses
 none: every import in `src/hermplane`, function-level ones included,
-names the standard library, numpy or the package itself."""
+names the standard library, numpy or the package itself.  The factor
+certificate in `plane` is the one reader of `unipoly`."""
 
 import ast
 import sys
@@ -40,6 +41,26 @@ def test_crosscheck_imports_no_package_module_and_no_numpy():
     assert not relative
     assert not names & {"hermplane", "numpy"}
     assert names <= set(sys.stdlib_module_names)
+
+
+def _imports_unipoly(path):
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [a.name for a in node.names]
+        elif isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        else:
+            continue
+        if any(n.split(".")[-1] == "unipoly" for n in names):
+            return True
+    return False
+
+
+def test_plane_is_the_only_module_that_imports_unipoly():
+    # products and evaluations go through TernaryForm and the FieldSpec
+    # vector ops; unipoly keeps only the certificate's factorization
+    readers = [p.stem for p in sorted(PACKAGE.glob("*.py")) if _imports_unipoly(p)]
+    assert readers == ["plane"]
 
 
 def test_numpy_is_the_one_declared_dependency():
